@@ -33,7 +33,7 @@ from .errors import (
 )
 from .folner import LowerBound, min_ratio_table
 from .groups import Group
-from .isoperimetry import FiniteSubset
+from .isoperimetry import FiniteSubset, _as_fraction
 
 __all__ = [
     "CscBound",
@@ -49,12 +49,6 @@ __all__ = [
     "certify_at_scale",
     "quotient_estimate",
 ]
-
-
-def _fraction(value, name: str) -> Fraction:
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    raise BadParams(f"{name} must be an exact rational, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -82,9 +76,9 @@ class FolnerBound:
 
 def csc_to_folner(bound: CscBound, rho) -> FolnerBound:
     """Outer-to-inner direction: same (c, alpha), any strictly positive rho."""
-    c = _fraction(bound.c, "c")
-    alpha = _fraction(bound.alpha, "alpha")
-    rho = _fraction(rho, "rho")
+    c = _as_fraction(bound.c, "c")
+    alpha = _as_fraction(bound.alpha, "alpha")
+    rho = _as_fraction(rho, "rho")
     if c <= 0:
         raise BadParams(f"conversion requires c > 0, got {c}")
     if alpha < 0:
@@ -100,9 +94,9 @@ def folner_to_csc(bound: FolnerBound, generating_set_size: int) -> CscBound:
     The returned shape keeps c and absorbs the inflation into the effective
     alpha, so its Phi argument is |S|^ceil(rho+c) (1+alpha) |W|.
     """
-    c = _fraction(bound.c, "c")
-    alpha = _fraction(bound.alpha, "alpha")
-    rho = _fraction(bound.rho, "rho")
+    c = _as_fraction(bound.c, "c")
+    alpha = _as_fraction(bound.alpha, "alpha")
+    rho = _as_fraction(bound.rho, "rho")
     if c <= 0:
         raise BadParams(f"conversion requires c > 0, got {c}")
     if alpha < 0 or rho < 0:
@@ -182,7 +176,7 @@ def _rhs_by_size(group: Group, bound: CscBound, max_size: int, max_elements=None
 def certify_at_scale(group: Group, bound: CscBound, scope,
                      max_elements: int | None = None) -> Certificate:
     """Check the outer-shape bound over every set in the scope, exactly."""
-    bound = CscBound(_fraction(bound.c, "c"), _fraction(bound.alpha, "alpha"))
+    bound = CscBound(_as_fraction(bound.c, "c"), _as_fraction(bound.alpha, "alpha"))
     if bound.c < 0 or bound.alpha < 0:
         raise BadParams("c and alpha must be >= 0")
     if isinstance(scope, BallSubsetsScope):

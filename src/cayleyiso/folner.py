@@ -13,6 +13,23 @@ Enumeration scheme: grow a connected set one adjacent vertex at a time; when
 a candidate is expanded, all candidates listed before it become permanently
 banned in that branch, which makes every connected superset reachable exactly
 once.  Fresh neighbors of the newly added vertex are explored first.
+
+Leaf bound: sets of the top size k are never expanded, so they are counted
+by arithmetic in the loop of their parent S (|S| = k-1) and scanned only
+when one could set a new minimum.  Adding a vertex v to S changes the
+inner-boundary count by [v keeps an outside neighbor] minus the number of
+members of S adjacent to v whose only outside neighbor was v.  The Cayley
+graph is regular of degree deg, and its neighbors are distinct when the
+generators are, because x*g == x*h only for g == h (the scan checks this at
+the identity and scans every leaf otherwise); so v has at most |S| neighbors
+in S, and the first term is 1 whenever |S| < deg.  The second term is at
+most ones(S), the number of members with exactly one outside neighbor.
+Every leaf below S
+therefore has at least bcount(S) + [|S| < deg] - ones(S) boundary members.
+When that floor is not below the current minimum, no leaf of S is a strict
+improvement, and the scan of S stops as soon as a leaf reaches the floor.
+Only strict improvements replace the witness, so the first achiever in
+canonical order, and every count and minimum, are those of the full scan.
 """
 
 from __future__ import annotations
@@ -75,78 +92,114 @@ def adjacency_index(group: Group, max_size: int) -> AdjacencyIndex:
     return AdjacencyIndex(group, max_size, table, tuple(adj))
 
 
-def _scan(adj, max_size, visit):
-    """Drive the canonical enumeration, calling ``visit(members, size, bcount)``.
+def _scan(adj, max_size, buckets=None):
+    """Run the canonical enumeration up to ``max_size`` and tally it by size.
 
-    ``members`` is the current stack of vertex indices (do not retain without
-    copying), ``bcount`` the exact inner-boundary count of the current set.
+    Returns ``(count, min_boundary, witness)``: per size, the number of
+    connected sets containing vertex 0, their least inner-boundary count
+    (None where there are no sets) and the member tuple of the first set in
+    canonical order attaining it.  If ``buckets`` is given (``max_size + 1``
+    lists), every set is also appended to ``buckets[size]`` as a tuple of
+    vertex indices, in canonical order.
+
+    Sets of the top size (leaves) are handled in the loop of their parent:
+    counted by arithmetic, and scanned only when one of them could set a new
+    minimum (see the module docstring).
     """
     n = len(adj)
+    leaf_parent = max_size - 1
     in_set = bytearray(n)
     occupied = bytearray(n)
     outdeg = [0] * n
-    members = [0]
+    members = []
+    count = [0] * (max_size + 1)
+    best = [max_size + 1] * (max_size + 1)  # above any boundary count
+    witness = [None] * (max_size + 1)
+    collect = buckets is not None
+    root_adj = adj[0]
+    deg = len(root_adj)
+    # x*g == x*h only if g == h, so distinct neighbors of the identity mean
+    # distinct neighbors everywhere, which the leaf bound needs
+    use_bound = not collect and len(set(root_adj)) == deg
+    outside = 1 if leaf_parent < deg else 0
 
-    def rec(cands, size, bcount):
+    def rec(cands, size, bcount, ones):
+        # ``ones`` is the number of members with exactly one outside neighbor
         nsize = size + 1
-        if nsize == max_size:
-            # leaf: boundary delta can be read off without mutating state
-            for v in cands:
-                av = adj[v]
-                od = 0
-                delta = 0
-                for u in av:
-                    if in_set[u]:
-                        if outdeg[u] == 1:
-                            delta -= 1
-                    else:
-                        od += 1
-                if od:
-                    delta += 1
-                members.append(v)
-                visit(members, nsize, bcount + delta)
-                members.pop()
-            return
         for i, v in enumerate(cands):
             av = adj[v]
             od = 0
-            delta = 0
+            bc = bcount
+            o1 = ones
             for u in av:
                 if in_set[u]:
-                    outdeg[u] -= 1
-                    if not outdeg[u]:
-                        delta -= 1
+                    d = outdeg[u] - 1
+                    outdeg[u] = d
+                    if d == 0:
+                        bc -= 1
+                        o1 -= 1
+                    elif d == 1:
+                        o1 += 1
                 else:
                     od += 1
             outdeg[v] = od
             in_set[v] = 1
             if od:
-                delta += 1
-            bc = bcount + delta
+                bc += 1
+                if od == 1:
+                    o1 += 1
             members.append(v)
-            visit(members, nsize, bc)
-            new = [u for u in av if not occupied[u]]
-            for u in new:
-                occupied[u] = 1
-            rec(new + cands[i + 1:], nsize, bc)
-            for u in new:
-                occupied[u] = 0
+            count[nsize] += 1
+            if bc < best[nsize]:
+                best[nsize] = bc
+                witness[nsize] = tuple(members)
+            if collect:
+                buckets[nsize].append(tuple(members))
+            if nsize == leaf_parent:
+                new = [u for u in av if not occupied[u]]
+                count[max_size] += len(new) + len(cands) - i - 1
+                # every leaf below has at least ``floor`` boundary members
+                floor = bc + outside - o1 if use_bound else -1
+                least = best[max_size]
+                if floor < least:
+                    leaves = new + cands[i + 1:]
+                    for w in leaves:
+                        b = bc
+                        out = False
+                        for u in adj[w]:
+                            if in_set[u]:
+                                if outdeg[u] == 1:
+                                    b -= 1
+                            else:
+                                out = True
+                        if out:
+                            b += 1
+                        if b < least:
+                            least = b
+                            witness[max_size] = (*members, w)
+                            if b <= floor:
+                                break
+                    best[max_size] = least
+                    if collect:
+                        buckets[max_size].extend([(*members, w) for w in leaves])
+            elif nsize < leaf_parent:
+                new = [u for u in av if not occupied[u]]
+                for u in new:
+                    occupied[u] = 1
+                rec(new + cands[i + 1:], nsize, bc, o1)
+                for u in new:
+                    occupied[u] = 0
             members.pop()
             in_set[v] = 0
             for u in av:
                 if in_set[u]:
                     outdeg[u] += 1
 
-    root_adj = adj[0]
-    in_set[0] = 1
+    # the identity is the one child of the empty set
     occupied[0] = 1
-    outdeg[0] = len(root_adj)
-    visit(members, 1, 1 if root_adj else 0)
-    if max_size > 1:
-        cands = list(root_adj)
-        for u in cands:
-            occupied[u] = 1
-        rec(cands, 1, 1 if root_adj else 0)
+    rec([0], 0, 0, 0)
+    min_boundary = [b if c else None for b, c in zip(best, count)]
+    return count, min_boundary, witness
 
 
 @dataclass
@@ -187,18 +240,7 @@ def min_ratio_table(group: Group, max_size: int, use_cache: bool = True) -> MinR
     if use_cache and cache_key in _scan_cache:
         return _scan_cache[cache_key]
     index = adjacency_index(group, max_size)
-    minb = [None] * (max_size + 1)
-    witness = [None] * (max_size + 1)
-    count = [0] * (max_size + 1)
-
-    def visit(members, size, bcount):
-        count[size] += 1
-        best = minb[size]
-        if best is None or bcount < best:
-            minb[size] = bcount
-            witness[size] = tuple(members)
-
-    _scan(index.adj, max_size, visit)
+    count, minb, witness = _scan(index.adj, max_size)
     result = MinRatioTable(group, max_size, minb, witness, count, index)
     if use_cache:
         _scan_cache[cache_key] = result
@@ -212,15 +254,10 @@ def connected_subsets(group: Group, max_size: int):
         raise BadParams(f"max_size must be a positive integer, got {max_size!r}")
     index = adjacency_index(group, max_size)
     elements = index.table.elements
-    for size in range(1, max_size + 1):
-        collected = []
-
-        def visit(members, msize, bcount, want=size, out=collected):
-            if msize == want:
-                out.append(tuple(members))
-
-        _scan(index.adj, size, visit)
-        for ids in collected:
+    buckets = [[] for _ in range(max_size + 1)]
+    _scan(index.adj, max_size, buckets)
+    for bucket in buckets:
+        for ids in bucket:
             yield FiniteSubset(group, [elements[i] for i in ids])
 
 

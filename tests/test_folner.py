@@ -73,7 +73,9 @@ def _uf_connected(group, elements):
     return len({find(x) for x in elements}) == 1
 
 
-@pytest.mark.parametrize("desc,size", [("z:2", 4), ("dinf", 5), ("lamplighter", 3)])
+@pytest.mark.parametrize("desc,size", [
+    ("z:2", 4), ("dinf", 5), ("lamplighter", 3), ("heis", 4), ("free:2", 4),
+])
 def test_connected_subsets_match_brute_force(desc, size):
     group = make_group(desc)
     emitted = [s.elements for s in connected_subsets(group, size)]
@@ -86,31 +88,80 @@ def test_connected_subsets_match_brute_force(desc, size):
     ball = enumerate_ball(group, size).members(size - 1)
     rest = [x for x in ball if x != group.identity]
     brute = set()
+    count = [0] * (size + 1)
+    min_boundary = [None] * (size + 1)
     for k in range(0, size):
         for combo in itertools.combinations(rest, k):
             cand = frozenset(combo) | {group.identity}
             if _uf_connected(group, cand):
                 brute.add(cand)
+                count[k + 1] += 1
+                b = len(FiniteSubset(group, cand).boundary_set())
+                if min_boundary[k + 1] is None or b < min_boundary[k + 1]:
+                    min_boundary[k + 1] = b
     assert set(emitted) == brute
+    table = min_ratio_table(group, size, use_cache=False)
+    assert table.count == count
+    assert table.min_boundary == min_boundary
+
+
+def _series_mul(a, b, order):
+    out = [0] * (order + 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b[:order + 1 - i]):
+                out[i + j] += x * y
+    return out
+
+
+def _series_pow(a, e, order):
+    out = [1] + [0] * order
+    for _ in range(e):
+        out = _series_mul(out, a, order)
+    return out
+
+
+def _free2_rooted_subtrees(order):
+    # coefficients of T = x(1+U)^4 where U = x(1+U)^3: subtrees of the
+    # 4-regular tree containing a fixed vertex, by number of vertices
+    u = [0] * (order + 1)
+    for _ in range(order):
+        u = [0] + _series_pow([1 + u[0]] + u[1:], 3, order)[:order]
+    return [0] + _series_pow([1 + u[0]] + u[1:], 4, order)[:order]
 
 
 def test_connected_counts_known_sequences():
     # rooted square-lattice animal counts and the 4-regular-tree closed form
-    z2 = min_ratio_table(make_group("z:2"), 7, use_cache=False)
-    assert z2.count == [0, 1, 4, 18, 76, 315, 1296, 5320]
-    free = min_ratio_table(make_group("free:2"), 6, use_cache=False)
-    assert free.count == [0, 1, 4, 18, 88, 455, 2448]
+    # fixed polyominoes (OEIS A001168); a rooted animal of n cells is one of
+    # them with one of its n cells at the identity
+    fixed_polyominoes = [1, 2, 6, 19, 63, 216, 760, 2725, 9910]
+    z2 = min_ratio_table(make_group("z:2"), 9, use_cache=False)
+    assert z2.count == [0] + [n * a for n, a in enumerate(fixed_polyominoes, 1)]
+    free = min_ratio_table(make_group("free:2"), 7, use_cache=False)
+    assert free.count == _free2_rooted_subtrees(7)
     line = min_ratio_table(make_group("z:1"), 10, use_cache=False)
     assert line.count == [0] + list(range(1, 11))
 
 
 def test_min_ratio_witness_attains_minimum():
-    for desc in ("z:1", "z:2", "dinf"):
-        table = min_ratio_table(make_group(desc), 6, use_cache=False)
-        for m in range(1, 7):
+    # every built-in group; on lamplighter the leaf bound skips the leaves
+    # of nearly every leaf parent
+    sizes = {"z:1": 6, "z:2": 6, "dinf": 6, "free:2": 5, "heis": 6, "lamplighter": 6}
+    for desc in BUILTIN_DESCRIPTORS:
+        group = make_group(desc)
+        size = sizes[desc]
+        table = min_ratio_table(group, size, use_cache=False)
+        # the witness is the first set in canonical order attaining the minimum
+        first = {}
+        for subset in connected_subsets(group, size):
+            m = len(subset)
+            if m not in first and len(subset.boundary_set()) == table.min_boundary[m]:
+                first[m] = subset.elements
+        for m in range(1, size + 1):
             witness = table.witness_subset(m)
             assert len(witness) == m
             assert boundary_ratio(witness) == table.min_ratio(m)
+            assert witness.elements == first[m]
 
 
 def test_min_ratio_line_values():
