@@ -145,7 +145,7 @@ def enumerate_ball(group: Group, radius: int, max_elements: int | None = None) -
     length_sum = [0]
     exhausted = False
     frontier = [e]
-    mul = group.mul
+    mul = group._mul
     gens = group.generators
     for r in range(1, radius + 1):
         new_frontier = []
@@ -174,19 +174,27 @@ def enumerate_ball(group: Group, radius: int, max_elements: int | None = None) -
                 length_sum.append(length_sum[-1])
             break
     table = BallTable(group, radius, elements, norm_of, b, s, length_sum, exhausted)
-    _assert_count_sanity(table)
+    # b_r = b_{r-1} + s_r and the degree bounds are theorems; a violation
+    # here means the BFS itself is broken
+    assert all(b[r] == b[r - 1] + s[r] for r in range(1, radius + 1))
+    assert _degree_bound_violation(table, "spheres") is None
+    assert _degree_bound_violation(table, "balls") is None
     return table
 
 
-def _assert_count_sanity(t: BallTable):
-    # b_r = b_{r-1} + s_r and the degree bounds are theorems; a violation
-    # here means the BFS itself is broken.
-    k = len(t.group.generators)
-    for r in range(1, t.max_radius + 1):
-        assert t.b[r] == t.b[r - 1] + t.s[r]
-        if r >= 2:
-            assert t.s[r] <= (k - 1) * t.s[r - 1]
-            assert t.b[r] <= k * t.b[r - 1]
+def _degree_bound_violation(table: BallTable, which: str):
+    """First radius r >= 2 breaking a degree bound of the growth counts.
+
+    ``which`` is ``"spheres"`` for s_r <= (k-1) s_(r-1) or ``"balls"`` for
+    b_r <= k b_(r-1), with k generators.  Returns None when every radius of
+    the table obeys the bound.
+    """
+    k = len(table.group.generators)
+    counts, factor = (table.s, k - 1) if which == "spheres" else (table.b, k)
+    for r in range(2, table.max_radius + 1):
+        if counts[r] > factor * counts[r - 1]:
+            return r
+    return None
 
 
 def phi(table: BallTable, v):

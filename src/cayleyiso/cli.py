@@ -46,7 +46,13 @@ from .constants import (
 from .errors import CayleyIsoError, PreconditionUnmet
 from .folner import folner_exact, folner_family_upper
 from .groups import ZPowerD, make_group
-from .isoperimetry import FORMS, FiniteSubset, boundary_ratio, check_inequality
+from .isoperimetry import (
+    FORMS,
+    FiniteSubset,
+    boundary_ratio,
+    check_inequality,
+    inequality_volume,
+)
 from .transport import LEMMAS, build_ledger, verify_lemma
 
 ENV_BUDGET = "CAYLEYISO_MEMORY_BUDGET"
@@ -271,21 +277,13 @@ def _cmd_boundary(args) -> int:
     return 0
 
 
-def _inequality_volume(form, size, alpha, eps):
-    if form in ("csc-original", "pete-correia"):
-        return 2 * size
-    if form in ("avg-growth", "growth-cor"):
-        return (1 + alpha) * size
-    return size / eps
-
-
 def _cmd_check(args) -> int:
     group = make_group(args.group)
     omega = _parse_omega(group, args)
     if args.radius is not None:
         table = enumerate_ball(group, args.radius, max_elements=_budget(args))
     else:
-        volume = _inequality_volume(args.form, len(omega), args.alpha, args.eps)
+        volume = inequality_volume(args.form, len(omega), alpha=args.alpha, eps=args.eps)
         table = table_for_volume(group, volume, max_elements=_budget(args))
     report = check_inequality(omega, table, args.form, alpha=args.alpha, eps=args.eps)
     if args.format == "json":
@@ -305,15 +303,12 @@ def _cmd_check(args) -> int:
 def _cmd_transport(args) -> int:
     group = make_group(args.group)
     omega = _parse_omega(group, args)
-    budget = _budget(args)
-    radius = args.r
-    table = enumerate_ball(group, radius, max_elements=budget)
-    if args.alpha is not None:
+    if args.alpha is None:
+        table = enumerate_ball(group, args.r, max_elements=_budget(args))
+    else:
         # the alpha lemmas evaluate the growth inverse at (1+alpha)|W|
-        volume = (1 + args.alpha) * len(omega)
-        while table.b[-1] <= volume and not table.exhausted:
-            radius *= 2
-            table = enumerate_ball(group, radius, max_elements=budget)
+        table = table_for_volume(group, (1 + args.alpha) * len(omega),
+                                 max_elements=_budget(args), start_radius=args.r)
     ledger = build_ledger(omega, table, args.r,
                           size_cap=args.size_cap, radius_cap=args.radius_cap)
     if args.lemma == "all":

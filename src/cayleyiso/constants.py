@@ -196,47 +196,60 @@ def _certify_ball_subsets(group, bound, scope, max_elements):
             f"exhaustive scope limit (2^{_MAX_SUBSET_SCOPE_BITS})"
         )
     rhs = _rhs_by_size(group, bound, n, max_elements)
-    # precompute, per member, its member-neighbors as a bitmask and whether it
-    # always has a neighbor outside the member list
+    # Member i is on the inner boundary of a mask when it has a neighbor
+    # outside B(radius) (bit i of ``edge``) or a neighbor j outside the mask
+    # (bit i of ``touch[j]``).  So the boundary of a mask is
+    #     mask & (edge | OR of touch[j] over j not in mask),
+    # and the union is read from two tables indexed by the low and the high
+    # half of the complement's bits (at most 2^10 entries each).
     index = {x: i for i, x in enumerate(members)}
-    nbr_mask = []
-    always_boundary = []
-    for x in members:
-        mask = 0
-        outside = False
-        for s in group.generators:
-            y = group.mul(x, s)
-            j = index.get(y)
+    mul = group._mul
+    edge = 0
+    touch = [0] * n
+    for i, x in enumerate(members):
+        for g in group.generators:
+            j = index.get(mul(x, g))
             if j is None:
-                outside = True
+                edge |= 1 << i
             else:
-                mask |= 1 << j
-        nbr_mask.append(mask)
-        always_boundary.append(outside)
-    min_ratio_seen = None
-    for mask in range(1, 1 << n):
+                touch[j] |= 1 << i
+    half = n // 2
+    low_bits = (1 << half) - 1
+    low_union = _union_table(touch[:half])
+    high_union = _union_table(touch[half:])
+    full = (1 << n) - 1
+    # ratios compare as bcount * q < p * size against rhs = p / q; the
+    # running minimum is the pair (bcount, size), starting from 1/0 = infinity
+    rhs_pq = [None] + [(f.numerator, f.denominator) for f in rhs[1:]]
+    best_b, best_size = 1, 0
+    for mask in range(1, full + 1):
         size = mask.bit_count()
-        bcount = 0
-        m = mask
-        while m:
-            low = m & (-m)
-            i = low.bit_length() - 1
-            m ^= low
-            if always_boundary[i] or nbr_mask[i] & ~mask:
-                bcount += 1
-        ratio = Fraction(bcount, size)
-        if min_ratio_seen is None or ratio < min_ratio_seen:
-            min_ratio_seen = ratio
-        if ratio < rhs[size]:
+        outside = full ^ mask
+        bcount = (mask & (edge | low_union[outside & low_bits]
+                          | high_union[outside >> half])).bit_count()
+        if bcount * best_size < best_b * size:
+            best_b, best_size = bcount, size
+        p, q = rhs_pq[size]
+        if bcount * q < p * size:
             witness = FiniteSubset(group, [members[i] for i in range(n) if mask >> i & 1])
             return Certificate(
                 group.descriptor, bound, scope, False, witness, mask,
-                {"failing_size": size, "lhs": str(ratio), "rhs": str(rhs[size])},
+                {"failing_size": size, "lhs": str(Fraction(bcount, size)),
+                 "rhs": str(rhs[size])},
             )
     return Certificate(
-        group.descriptor, bound, scope, True, None, (1 << n) - 1,
-        {"min_ratio_seen": str(min_ratio_seen)},
+        group.descriptor, bound, scope, True, None, full,
+        {"min_ratio_seen": str(Fraction(best_b, best_size))},
     )
+
+
+def _union_table(masks):
+    """``table[sub]`` is the OR of ``masks[j]`` over the set bits j of sub."""
+    table = [0] * (1 << len(masks))
+    for sub in range(1, len(table)):
+        low = sub & -sub
+        table[sub] = table[sub ^ low] | masks[low.bit_length() - 1]
+    return table
 
 
 def _certify_connected(group, bound, scope, max_elements):

@@ -84,9 +84,11 @@ def adjacency_index(group: Group, max_size: int) -> AdjacencyIndex:
     index = {e: i for i, e in enumerate(table.elements)}
     adj = []
     limit = max_size - 1
+    mul = group._mul
+    gens = group.generators
     for x in table.elements:
         if table.norm_of[x] <= limit:
-            adj.append(tuple(index[group.mul(x, g)] for g in group.generators))
+            adj.append(tuple(index[mul(x, g)] for g in gens))
         else:
             adj.append(None)
     return AdjacencyIndex(group, max_size, table, tuple(adj))

@@ -40,6 +40,12 @@ class Group(ABC):
 
     Subclasses define the canonical element payload and exact operations.
     Instances are immutable and safe to share between threads.
+
+    The public :meth:`mul` and :meth:`inv` validate their operands and are
+    what outside callers use.  :meth:`_mul` and :meth:`_inv` are the trusted
+    path: they skip validation and are called only on payloads that come
+    from a ball table or a validated :class:`FiniteSubset`, or on products
+    of such payloads.
     """
 
     #: descriptor string, parseable by :func:`make_group`

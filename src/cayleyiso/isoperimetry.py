@@ -86,12 +86,14 @@ class FiniteSubset:
 
     def translate(self, g) -> "FiniteSubset":
         """Left translate g * W."""
-        mul = self.group.mul
-        return FiniteSubset(self.group, (mul(g, x) for x in self.elements))
+        group = self.group
+        group.check_element(g)
+        mul = group._mul
+        return FiniteSubset(group, (mul(g, x) for x in self.elements))
 
     def boundary_set(self) -> frozenset:
         if self._boundary is None:
-            mul = self.group.mul
+            mul = self.group._mul
             inside = self.elements
             gens = self.group.generators
             self._boundary = frozenset(
@@ -158,28 +160,36 @@ def _as_fraction(value, name: str) -> Fraction:
     raise BadParams(f"{name} must be an exact rational, got {value!r}")
 
 
-def inequality_rhs(table: BallTable, form: str, size: int, alpha=None, eps=None):
-    """Right-hand side of ``form`` for a subset of cardinality ``size``.
+def inequality_volume(form: str, size: int, alpha=None, eps=None):
+    """Volume at which ``form`` evaluates Phi for a subset of cardinality ``size``.
 
-    Depends on the subset only through its cardinality; exposed separately so
-    batch checkers can cache it.  Returns ``(rhs, radius_used)``.
+    Validates the form, the size and the parameter the form needs (``alpha``
+    or ``eps``); :func:`inequality_rhs` and the command line share it.
     """
     if form not in FORMS:
         raise BadParams(f"unknown inequality form {form!r}")
     if size < 1:
         raise EmptySet("inequality forms require a non-empty subset")
     if form in ("csc-original", "pete-correia"):
-        volume = 2 * size
-    elif form in ("avg-growth", "growth-cor"):
+        return 2 * size
+    if form in ("avg-growth", "growth-cor"):
         alpha = _as_fraction(alpha, "alpha")
         if alpha < 0:
             raise BadParams(f"alpha must be >= 0, got {alpha}")
-        volume = (1 + alpha) * size
-    else:  # epsilon
-        eps = _as_fraction(eps, "eps")
-        if not (0 < eps < 1):
-            raise BadParams(f"eps must satisfy 0 < eps < 1, got {eps}")
-        volume = size / eps
+        return (1 + alpha) * size
+    eps = _as_fraction(eps, "eps")
+    if not (0 < eps < 1):
+        raise BadParams(f"eps must satisfy 0 < eps < 1, got {eps}")
+    return size / eps
+
+
+def inequality_rhs(table: BallTable, form: str, size: int, alpha=None, eps=None):
+    """Right-hand side of ``form`` for a subset of cardinality ``size``.
+
+    Depends on the subset only through its cardinality; exposed separately so
+    batch checkers can cache it.  Returns ``(rhs, radius_used)``.
+    """
+    volume = inequality_volume(form, size, alpha=alpha, eps=eps)
     r = phi(table, volume)
     if r is INFINITE:
         return Fraction(0), INFINITE
@@ -188,8 +198,9 @@ def inequality_rhs(table: BallTable, form: str, size: int, alpha=None, eps=None)
     elif form == "pete-correia":
         rhs = Fraction(1, 2 * r)
     elif form == "epsilon":
-        rhs = (1 - eps) * Fraction(1, r)
+        rhs = (1 - Fraction(eps)) * Fraction(1, r)
     else:
+        alpha = Fraction(alpha)
         front = alpha / (1 + alpha) * Fraction(table.b[r - 1], table.b[r])
         if form == "avg-growth":
             avg = average_length(table, r)

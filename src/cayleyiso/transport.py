@@ -22,12 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .balls import INFINITE, BallTable, phi
+from .balls import INFINITE, BallTable, _degree_bound_violation, phi
 from .errors import (
     BadParams,
     EmptySet,
     ExitNotFound,
     HorizonExceeded,
+    MalformedElement,
     PreconditionUnmet,
 )
 from .isoperimetry import FiniteSubset
@@ -64,6 +65,12 @@ class GeodesicWord:
 
 def geodesic_word(table: BallTable, g) -> GeodesicWord:
     """Deterministic minimal-length expression of ``g`` (see module docstring)."""
+    table.group.check_element(g)
+    return _geodesic_word(table, g)
+
+
+def _geodesic_word(table: BallTable, g) -> GeodesicWord:
+    # g is a valid payload; the ledger passes members of its own table
     group = table.group
     norm = table.norm(g)  # HorizonExceeded if outside the table
     letters = []
@@ -71,13 +78,14 @@ def geodesic_word(table: BallTable, g) -> GeodesicWord:
     rest = g
     rest_norm = norm
     gens = group.generators
-    inverses = [group.inv(s) for s in gens]
+    mul = group._mul
+    inverses = [group._inv(s) for s in gens]
     while rest_norm > 0:
         for j, s in enumerate(gens):
-            shorter = group.mul(inverses[j], rest)
+            shorter = mul(inverses[j], rest)
             if table.norm_of.get(shorter, rest_norm + 1) == rest_norm - 1:
                 letters.append(j)
-                prefixes.append(group.mul(prefixes[-1], s))
+                prefixes.append(mul(prefixes[-1], s))
                 rest = shorter
                 rest_norm -= 1
                 break
@@ -139,7 +147,9 @@ def build_ledger(omega: FiniteSubset, table: BallTable, r: int,
     if r > table.max_radius:
         raise HorizonExceeded(f"ledger radius {r} beyond table horizon {table.max_radius}")
     group = omega.group
-    mul = group.mul
+    if table.group != group:
+        raise MalformedElement("subset and ball table belong to different groups")
+    mul = group._mul
     inside = omega.elements
     ball = table.members(r)
     omega_sorted = omega.sorted_elements()
@@ -161,7 +171,7 @@ def build_ledger(omega: FiniteSubset, table: BallTable, r: int,
         xs = omega_g[g]
         if not xs or table.norm_of[g] == 0:
             continue
-        word = geodesic_word(table, g)
+        word = _geodesic_word(table, g)
         for x in xs:
             for prefix in word.prefixes:
                 point = mul(x, prefix)
@@ -236,15 +246,9 @@ def verify_lemma(which: str, table: BallTable | None = None,
 
 
 def _verify_counts(which: str, table: BallTable) -> LemmaReport:
-    k = len(table.group.generators)
-    for r in range(2, table.max_radius + 1):
-        if which == "spheres":
-            ok = table.s[r] <= (k - 1) * table.s[r - 1]
-        else:
-            ok = table.b[r] <= k * table.b[r - 1]
-        if not ok:
-            return LemmaReport(which, False, {"r": r},
-                               f"violated at radius {r}")
+    r = _degree_bound_violation(table, which)
+    if r is not None:
+        return LemmaReport(which, False, {"r": r}, f"violated at radius {r}")
     return LemmaReport(which, True, None,
                        f"radii 2..{table.max_radius} on {table.group.descriptor}")
 

@@ -7,6 +7,16 @@ from cayleyiso.groups import Group, make_group
 
 BUILTIN_DESCRIPTORS = ("z:1", "z:2", "free:2", "dinf", "heis", "lamplighter")
 
+#: one hashable but non-canonical payload per built-in group
+MALFORMED_PAYLOADS = {
+    "z:1": (1.5,),
+    "z:2": (1,),
+    "free:2": (1, -1),
+    "dinf": (0, 2),
+    "heis": (1, 2),
+    "lamplighter": (0, (0,)),
+}
+
 
 class CyclicStub(Group):
     """Finite cyclic test group: the only way to exercise exhausted-ball and

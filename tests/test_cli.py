@@ -139,6 +139,16 @@ def test_check_requires_omega(capsys):
     assert "subset" in err
 
 
+@pytest.mark.parametrize("form", ["avg-growth", "growth-cor", "epsilon"])
+def test_check_missing_parameter_is_usage_error(capsys, form):
+    # no --radius, so the table size depends on the missing alpha or eps
+    code, _, err = run(capsys, ["check", "--group", "z:1", "--form", form,
+                                "--omega", "0..3"])
+    assert code == 1
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
 def test_check_unknown_form(capsys):
     code, _, err = run(capsys, ["check", "--group", "z:1", "--form", "bogus",
                                 "--omega", "0..2"])
@@ -179,6 +189,14 @@ def test_transport_precondition_reported_not_dropped(capsys):
     assert results["ray-lower"]["holds"] == "precondition-unmet"
     assert results["conclude"]["holds"] == "precondition-unmet"
     assert results["counting"]["holds"] is True
+
+
+def test_transport_radius_zero_with_alpha_is_usage_error(capsys):
+    # the table still grows from radius 1, so a zero radius cannot stall it
+    code, _, err = run(capsys, ["transport", "--group", "z:1", "--omega", "0..2",
+                                "--r", "0", "--alpha", "1"])
+    assert code == 1
+    assert "error:" in err
 
 
 # ------------------------------------------------------------------- folner

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cayleyiso.balls import enumerate_ball
+from cayleyiso.balls import INFINITE, enumerate_ball, phi, table_for_volume
 from cayleyiso.constants import (
     BallSubsetsScope,
     ConnectedScope,
@@ -23,6 +23,7 @@ from cayleyiso.errors import (
 )
 from cayleyiso.folner import folner_exact
 from cayleyiso.groups import make_group
+from cayleyiso.isoperimetry import FiniteSubset
 
 from conftest import CyclicStub
 
@@ -80,6 +81,40 @@ def test_certify_holds_exhaustive_and_connected():
     cert = certify_at_scale(make_group("dinf"), bound, ConnectedScope(9))
     assert cert.holds
     assert cert.checked_sets == sum(range(1, 10))
+
+
+def _brute_force_ball_subsets(group, bound, radius):
+    """Certificate fields recomputed set by set, in ascending mask order."""
+    members = enumerate_ball(group, radius).members(radius)
+    n = len(members)
+    table = table_for_volume(group, (1 + bound.alpha) * n)
+    best = None
+    for mask in range(1, 1 << n):
+        omega = FiniteSubset(group, [members[i] for i in range(n) if mask >> i & 1])
+        ratio = Fraction(len(omega.boundary_set()), len(omega))
+        r = phi(table, (1 + bound.alpha) * len(omega))
+        rhs = Fraction(0) if r is INFINITE else bound.c / r
+        if best is None or ratio < best:
+            best = ratio
+        if ratio < rhs:
+            return False, mask, omega.keys(), {
+                "failing_size": len(omega), "lhs": str(ratio), "rhs": str(rhs)}
+    return True, (1 << n) - 1, None, {"min_ratio_seen": str(best)}
+
+
+@pytest.mark.parametrize("desc,radius", [
+    ("z:1", 2), ("z:2", 1), ("dinf", 3), ("heis", 1), ("free:2", 1)])
+def test_certify_ball_subsets_matches_brute_force(desc, radius):
+    group = make_group(desc)
+    holding = CscBound(Fraction(1, 4), Fraction(1))
+    failing = CscBound(Fraction(3, 2), Fraction(1, 2))
+    for bound, expected in ((holding, True), (failing, False)):
+        cert = certify_at_scale(group, bound, BallSubsetsScope(radius))
+        holds, checked, witness, derived = _brute_force_ball_subsets(group, bound, radius)
+        assert cert.holds is holds is expected
+        assert cert.checked_sets == checked
+        assert (cert.witness.keys() if cert.witness is not None else None) == witness
+        assert cert.derived_bounds == derived
 
 
 def test_certify_vacuous_on_finite_group():

@@ -15,7 +15,7 @@ from cayleyiso.groups import (
     validate_generators,
 )
 
-from conftest import BUILTIN_DESCRIPTORS, random_element
+from conftest import BUILTIN_DESCRIPTORS, MALFORMED_PAYLOADS, random_element
 
 
 # ---------------------------------------------------------------- make_group
@@ -180,6 +180,15 @@ def test_mul_rejects_malformed():
     ll = make_group("lamplighter")
     with pytest.raises(MalformedElement):
         ll.mul((0, {0}), ll.identity)  # set, not frozenset
+    for desc in BUILTIN_DESCRIPTORS:
+        g = make_group(desc)
+        bad = MALFORMED_PAYLOADS[desc]
+        with pytest.raises(MalformedElement):
+            g.mul(bad, g.identity)
+        with pytest.raises(MalformedElement):
+            g.mul(g.identity, bad)
+        with pytest.raises(MalformedElement):
+            g.inv(bad)
 
 
 # ----------------------------------------------------------------- op_inv

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cayleyiso.balls import INFINITE, enumerate_ball, phi
-from cayleyiso.errors import BadParams, EmptySet
+from cayleyiso.errors import BadParams, EmptySet, MalformedElement
 from cayleyiso.isoperimetry import (
     FORMS,
     FiniteSubset,
@@ -15,7 +15,7 @@ from cayleyiso.isoperimetry import (
 )
 from cayleyiso.groups import make_group
 
-from conftest import BUILTIN_DESCRIPTORS, CyclicStub, random_element
+from conftest import BUILTIN_DESCRIPTORS, MALFORMED_PAYLOADS, CyclicStub, random_element
 
 
 def z_interval(group, a, b):
@@ -77,6 +77,18 @@ def test_translation_invariance_random(groups):
             assert moved.boundary_set() == frozenset(
                 g.mul(shift, x) for x in omega.boundary_set()
             )
+
+
+def test_subset_and_translate_reject_malformed(groups):
+    for desc, g in groups.items():
+        bad = MALFORMED_PAYLOADS[desc]
+        with pytest.raises(MalformedElement):
+            FiniteSubset(g, [g.identity, bad])
+        omega = FiniteSubset(g, [g.identity])
+        with pytest.raises(MalformedElement):
+            omega.translate(bad)
+        with pytest.raises(MalformedElement):
+            FiniteSubset(g, []).translate(bad)
 
 
 # ----------------------------------------------------------- check_inequality

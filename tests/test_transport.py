@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -6,7 +7,13 @@ from fractions import Fraction
 import pytest
 
 from cayleyiso.balls import enumerate_ball, phi
-from cayleyiso.errors import BadParams, EmptySet, HorizonExceeded, PreconditionUnmet
+from cayleyiso.errors import (
+    BadParams,
+    EmptySet,
+    HorizonExceeded,
+    MalformedElement,
+    PreconditionUnmet,
+)
 from cayleyiso.groups import make_group
 from cayleyiso.isoperimetry import FiniteSubset, boundary_ratio
 from cayleyiso.transport import (
@@ -55,6 +62,8 @@ def test_geodesic_outside_table():
     t = enumerate_ball(z, 2)
     with pytest.raises(HorizonExceeded):
         geodesic_word(t, (5,))
+    with pytest.raises(MalformedElement):
+        geodesic_word(t, (1.0,))  # hashes like (1,), so the table alone would accept it
 
 
 @pytest.mark.parametrize("desc", ("z:2", "dinf", "heis"))
@@ -128,6 +137,10 @@ def test_ledger_requires_nonempty_and_radius():
         build_ledger(z_subset(z, [0]), t, 0)
     with pytest.raises(HorizonExceeded):
         build_ledger(z_subset(z, [0]), t, 4)
+    # heis triples are well-formed z:3 payloads, so only the group check catches this
+    z3 = make_group("z:3")
+    with pytest.raises(MalformedElement):
+        build_ledger(FiniteSubset(z3, [(0, 0, 0)]), enumerate_ball(make_group("heis"), 2), 1)
 
 
 def test_ledger_caps_default_and_override():
@@ -172,6 +185,17 @@ def test_lemma_spheres_and_balls_all_groups(desc):
     t = enumerate_ball(make_group(desc), 5)
     assert verify_lemma("spheres", table=t).holds
     assert verify_lemma("balls", table=t).holds
+
+
+def test_lemma_spheres_and_balls_report_first_violation():
+    t = enumerate_ball(make_group("z:1"), 5)
+    broken = dataclasses.replace(t, s=[1, 2, 2, 5, 9, 2], b=[1, 3, 5, 16, 25, 27])
+    spheres = verify_lemma("spheres", table=broken)
+    assert (spheres.holds, spheres.witness, spheres.detail) == (
+        False, {"r": 3}, "violated at radius 3")
+    balls = verify_lemma("balls", table=broken)
+    assert (balls.holds, balls.witness, balls.detail) == (
+        False, {"r": 3}, "violated at radius 3")
 
 
 def test_lemma_counting_example():
