@@ -7,8 +7,9 @@ small Folner values on the line.
 
 Determinism contract: no wall-clock text, all randomness drawn from fixed
 seeds, all iteration orders canonical.  ``run_suite`` renders byte-identical
-reports for any thread count (execution is sequential; the thread parameter
-is validated and then irrelevant).
+reports for any thread count (the thread parameter is validated and then
+irrelevant; connected-subset scans use every CPU of the affinity mask and
+give the same results on any number of them).
 """
 
 from __future__ import annotations
@@ -533,7 +534,7 @@ _CRITERIA = (
 def run_battery(threads: int = 1):
     """Run criteria 1..9 once per thread-count key (results are cached).
 
-    ``threads`` must be >= 1; execution is sequential regardless, which is
+    ``threads`` must be >= 1 and does not change the computation, which is
     what makes the determinism criterion hold by construction.
     """
     if not isinstance(threads, int) or threads < 1:

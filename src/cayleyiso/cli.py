@@ -11,8 +11,8 @@ Subsets are given as ``--omega a..b`` (an integer interval, z:1 only) or as
 ``--omega-file`` with one canonical element key per line.  The memory budget
 (maximum enumerated elements) comes from ``--memory-budget``, else the
 ``CAYLEYISO_MEMORY_BUDGET`` environment variable, else a built-in default.
-``--threads`` is validated and recorded, but execution is sequential; results
-are defined to be independent of it.
+Connected-subset scans run on every CPU of the process's affinity mask (limit
+them with ``taskset``); their results do not depend on the number of CPUs.
 """
 
 from __future__ import annotations
@@ -89,8 +89,6 @@ def build_parser() -> _Parser:
         p.add_argument("--output", default="-", help="output path, '-' for stdout")
         p.add_argument("--memory-budget", type=_positive_int, default=None,
                        help="max enumerated elements (default from environment)")
-        p.add_argument("--threads", type=_positive_int, default=1,
-                       help="accepted for compatibility; execution is sequential")
         if omega:
             p.add_argument("--omega", default=None, help="integer range a..b (z:1 only)")
             p.add_argument("--omega-file", default=None,
@@ -355,7 +353,7 @@ def _cmd_folner(args) -> int:
         else:
             _emit(args, f"n,family_upper\n{args.n},{value}")
         return 0
-    record = folner_exact(group, args.n, args.cap)
+    record = folner_exact(group, args.n, args.cap, max_elements=_budget(args))
     if args.format == "json":
         payload = record.to_json_dict()
         payload["group"] = group.descriptor
@@ -414,9 +412,11 @@ def _cmd_certify(args) -> int:
 
 def _cmd_quotient(args) -> int:
     group = make_group(args.group)
-    table = enumerate_ball(group, args.horizon, max_elements=_budget(args))
+    budget = _budget(args)
+    table = enumerate_ball(group, args.horizon, max_elements=budget)
     # lazy: the growth hypothesis is checked before any record is computed
-    records = (folner_exact(group, n, args.cap) for n in range(1, args.horizon + 1))
+    records = (folner_exact(group, n, args.cap, max_elements=budget)
+               for n in range(1, args.horizon + 1))
     estimate = quotient_estimate(group, args.horizon, records, table)
     _emit(args, _json(estimate.to_json_dict()))
     return 0

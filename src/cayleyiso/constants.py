@@ -255,8 +255,8 @@ def _union_table(masks):
 def _certify_connected(group, bound, scope, max_elements):
     # rhs depends on a set only through its cardinality, so checking the
     # per-size minimum ratio is exactly equivalent to checking every set
-    table = min_ratio_table(group, scope.max_size)
     rhs = _rhs_by_size(group, bound, scope.max_size, max_elements)
+    table = min_ratio_table(group, scope.max_size, max_elements=max_elements)
     per_size = {}
     for m in range(1, scope.max_size + 1):
         if table.min_boundary[m] is None:

@@ -30,14 +30,38 @@ When that floor is not below the current minimum, no leaf of S is a strict
 improvement, and the scan of S stops as soon as a leaf reaches the floor.
 Only strict improvements replace the witness, so the first achiever in
 canonical order, and every count and minimum, are those of the full scan.
+
+Parallel scan, after Mertens and Lautenbacher ("Counting lattice animals: a
+parallel attack", J. Stat. Phys. 66, 1992).  Split: the caller's process
+enumerates the sets of size up to 3 and tallies them itself; each node of
+size 3 becomes a task instead of being expanded, and the tasks are kept in
+canonical (depth-first) order.  Run: worker w of W, one per CPU of the
+affinity mask, runs tasks w, w+W, ... in increasing order; worker 0 is the
+caller, the others are forked.  Merge: per task in order, counts are added,
+and a task's minimum replaces the running one only if strictly lower.  A set
+larger than 3 lies below exactly one node of size 3, and the tasks partition
+the canonical order into consecutive runs, so this keeps the first achiever.
+Carry-over: a worker seeds each task's leaf minimum with the least leaf it
+found in its own earlier tasks, and every other size from scratch.  Those
+tasks all precede the current one, so a leaf of the current task that is not
+strictly below the seed is not the first achiever of the global minimum,
+and the leaf bound may skip it; a task reports a leaf minimum only when it
+is strictly below its seed, and then with its own first achiever.  The seed
+is no lower than the running merged minimum before the task, so a task that
+found nothing new never wins the merge.  Counts, minima and witnesses are
+therefore those of the sequential scan, whatever the number of workers.
 """
 
 from __future__ import annotations
 
+import marshal
+import os
+import signal
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .balls import INFINITE, BallTable, enumerate_ball
+from .balls import DEFAULT_MAX_ELEMENTS, INFINITE, BallTable, enumerate_ball
 from .errors import BadParams, NoFamilyForKind
 from .groups import DihedralInfinite, Group, LamplighterZ2, ZPowerD
 from .isoperimetry import FiniteSubset
@@ -79,8 +103,9 @@ class AdjacencyIndex:
     adj: tuple
 
 
-def adjacency_index(group: Group, max_size: int) -> AdjacencyIndex:
-    table = enumerate_ball(group, max_size)
+def adjacency_index(group: Group, max_size: int,
+                    max_elements: int | None = None) -> AdjacencyIndex:
+    table = enumerate_ball(group, max_size, max_elements=max_elements)
     index = {e: i for i, e in enumerate(table.elements)}
     adj = []
     limit = max_size - 1
@@ -94,7 +119,19 @@ def adjacency_index(group: Group, max_size: int) -> AdjacencyIndex:
     return AdjacencyIndex(group, max_size, table, tuple(adj))
 
 
-def _scan(adj, max_size, buckets=None):
+# canonical-tree depth at which a parallel scan hands subtrees to workers
+_SPLIT_SIZE = 3
+
+
+def _workers() -> int:
+    """Number of CPUs this process may run on, 1 where that is unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
+
+def _scan(adj, max_size, buckets=None, workers=None):
     """Run the canonical enumeration up to ``max_size`` and tally it by size.
 
     Returns ``(count, min_boundary, witness)``: per size, the number of
@@ -106,7 +143,48 @@ def _scan(adj, max_size, buckets=None):
 
     Sets of the top size (leaves) are handled in the loop of their parent:
     counted by arithmetic, and scanned only when one of them could set a new
-    minimum (see the module docstring).
+    minimum.  With more than one worker (default: the CPUs of the affinity
+    mask) the tree is split into subtrees that run in forked processes, with
+    the same result (see the module docstring).  The scan stays in this
+    process when collecting buckets, when ``max_size`` is below 5, or when
+    the process runs other threads.
+    """
+    if workers is None:
+        workers = _workers()
+    # fork only from a single-threaded process: a forked child gets no copy
+    # of the other threads, but may inherit locks they held
+    parallel = workers > 1 and buckets is None and threading.active_count() == 1
+    split = _SPLIT_SIZE if parallel and max_size >= _SPLIT_SIZE + 2 else 0
+    tasks = []
+    run = _enumerator(adj, max_size, buckets, split, tasks)
+    count, best, witness = run((), [0], 0, 0, max_size + 1)
+    if tasks:
+        workers = min(workers, len(tasks))
+        shares = _run_shares(run, tasks, workers, max_size)
+        for t in range(len(tasks)):
+            t_count, t_best, t_witness = shares[t % workers][t // workers]
+            for m in range(split + 1, max_size + 1):
+                count[m] += t_count[m]
+                if t_best[m] < best[m]:
+                    best[m] = t_best[m]
+                    witness[m] = t_witness[m]
+    min_boundary = [b if c else None for b, c in zip(best, count)]
+    return count, min_boundary, witness
+
+
+def _enumerator(adj, max_size, buckets=None, split=0, tasks=None):
+    """Return ``run(prefix, cands, bcount, ones, leaf_least)``.
+
+    ``run`` enumerates the subtree of the canonical tree below the node whose
+    members are ``prefix`` (in the order they were added), whose candidate
+    list is ``cands`` and whose inner boundary has ``bcount`` members,
+    ``ones`` of them with exactly one outside neighbor.  The root is
+    ``run((), [0], 0, 0, max_size + 1)``.  It returns per-size lists
+    ``(count, best, witness)`` for the sets below the node; ``best`` holds
+    ``max_size + 1`` where nothing was found.  ``leaf_least`` seeds the
+    minimum at the top size: leaves are only recorded when strictly below
+    it.  A node of size ``split`` (0: none) is not expanded; its ``prefix,
+    cands, bcount, ones`` are appended to ``tasks`` instead.
     """
     n = len(adj)
     leaf_parent = max_size - 1
@@ -188,7 +266,10 @@ def _scan(adj, max_size, buckets=None):
                 new = [u for u in av if not occupied[u]]
                 for u in new:
                     occupied[u] = 1
-                rec(new + cands[i + 1:], nsize, bc, o1)
+                if nsize == split:
+                    tasks.append((tuple(members), new + cands[i + 1:], bc, o1))
+                else:
+                    rec(new + cands[i + 1:], nsize, bc, o1)
                 for u in new:
                     occupied[u] = 0
             members.pop()
@@ -197,11 +278,104 @@ def _scan(adj, max_size, buckets=None):
                 if in_set[u]:
                     outdeg[u] += 1
 
-    # the identity is the one child of the empty set
-    occupied[0] = 1
-    rec([0], 0, 0, 0)
-    min_boundary = [b if c else None for b, c in zip(best, count)]
-    return count, min_boundary, witness
+    def run(prefix, cands, bcount, ones, leaf_least):
+        count[:] = [0] * (max_size + 1)
+        best[:] = [max_size + 1] * max_size + [leaf_least]
+        witness[:] = [None] * (max_size + 1)
+        # replay the additions of the prefix; the occupied vertices of a node
+        # are the identity and every neighbor of a member
+        occupied[0] = 1
+        for v in prefix:
+            od = 0
+            for u in adj[v]:
+                occupied[u] = 1
+                if in_set[u]:
+                    outdeg[u] -= 1
+                else:
+                    od += 1
+            outdeg[v] = od
+            in_set[v] = 1
+            members.append(v)
+        rec(cands, len(prefix), bcount, ones)
+        for v in prefix:
+            in_set[v] = 0
+            for u in adj[v]:
+                occupied[u] = 0
+        occupied[0] = 0
+        members.clear()
+        return list(count), list(best), list(witness)
+
+    return run
+
+
+def _run_share(run, share, max_size):
+    """Run the tasks of ``share`` in order, carrying the leaf minimum."""
+    results = []
+    leaf_least = max_size + 1
+    for prefix, cands, bcount, ones in share:
+        result = run(prefix, cands, bcount, ones, leaf_least)
+        leaf_least = result[1][max_size]
+        results.append(result)
+    return results
+
+
+def _run_shares(run, tasks, workers, max_size):
+    """Results of ``tasks[w::workers]`` for every worker w, in that order.
+
+    The caller's process is worker 0; workers 1.. are forked children that
+    send their results back through a pipe.  A child that fails or dies makes
+    this raise, and every child is reaped before it returns or raises.
+    """
+    children = []
+    try:
+        for w in range(1, workers):
+            children.append(_fork_share(run, tasks[w::workers], max_size))
+        shares = [_run_share(run, tasks[::workers], max_size)]
+        replies = [pipe.read() for _, pipe in children]
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        codes = []
+        for pid, pipe in children:
+            pipe.close()
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for w, (code, reply) in enumerate(zip(codes, replies), 1):
+        if code != 0 or not reply:
+            raise RuntimeError(f"scan worker {w} exited with code {code}")
+        ok, value = marshal.loads(reply)
+        if not ok:
+            raise RuntimeError(f"scan worker {w} failed: {value}")
+        shares.append(value)
+    return shares
+
+
+def _fork_share(run, share, max_size):
+    """Fork a child that runs ``share``; return its pid and the read end of
+    the pipe it writes ``(True, results)`` or ``(False, error text)`` to."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:  # the child never returns into the caller
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                reply = (True, _run_share(run, share, max_size))
+            except Exception as exc:
+                reply = (False, f"{type(exc).__name__}: {exc}")
+            with open(write_fd, "wb") as pipe:
+                marshal.dump(reply, pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
 
 
 @dataclass
@@ -234,14 +408,22 @@ class MinRatioTable:
 _scan_cache: dict = {}
 
 
-def min_ratio_table(group: Group, max_size: int, use_cache: bool = True) -> MinRatioTable:
-    """Exhaustively scan connected subsets up to ``max_size`` (cached)."""
+def min_ratio_table(group: Group, max_size: int, use_cache: bool = True,
+                    max_elements: int | None = None) -> MinRatioTable:
+    """Exhaustively scan connected subsets up to ``max_size`` (cached).
+
+    The ball B(max_size) is enumerated under the element budget
+    ``max_elements`` (see :func:`enumerate_ball`) before the scan starts.
+    """
     if not isinstance(max_size, int) or max_size < 1:
         raise BadParams(f"max_size must be a positive integer, got {max_size!r}")
     cache_key = (group.descriptor, max_size)
-    if use_cache and cache_key in _scan_cache:
-        return _scan_cache[cache_key]
-    index = adjacency_index(group, max_size)
+    cached = _scan_cache.get(cache_key) if use_cache else None
+    budget = DEFAULT_MAX_ELEMENTS if max_elements is None else max_elements
+    if cached is not None and len(cached.index.table.elements) <= budget:
+        return cached
+    # over budget, a cached table fails as an uncached call would
+    index = adjacency_index(group, max_size, max_elements)
     count, minb, witness = _scan(index.adj, max_size)
     result = MinRatioTable(group, max_size, minb, witness, count, index)
     if use_cache:
@@ -313,12 +495,14 @@ class FolnerRecord:
         }
 
 
-def folner_exact(group: Group, n: int, cap: int) -> FolnerRecord:
+def folner_exact(group: Group, n: int, cap: int,
+                 max_elements: int | None = None) -> FolnerRecord:
     """Minimal size of a set with boundary ratio <= 1/n, searched up to ``cap``.
 
     Returns an exact value with witness when the search succeeds, a
     :class:`LowerBound` of cap+1 when it exhausts the cap, and the infinite
-    sentinel for n >= 2 on groups configured non-amenable.
+    sentinel for n >= 2 on groups configured non-amenable.  ``max_elements``
+    is the element budget of the ball the search runs in.
     """
     if not isinstance(n, int) or n < 1:
         raise BadParams(f"n must be a positive integer, got {n!r}")
@@ -330,7 +514,7 @@ def folner_exact(group: Group, n: int, cap: int) -> FolnerRecord:
         return FolnerRecord(1, 1, FiniteSubset(group, [group.identity]), cap, family)
     if group.is_nonamenable:
         return FolnerRecord(n, INFINITE, None, cap, family)
-    table = min_ratio_table(group, cap)
+    table = min_ratio_table(group, cap, max_elements=max_elements)
     for size in range(1, cap + 1):
         minb = table.min_boundary[size]
         if minb is not None and minb * n <= size:

@@ -52,6 +52,40 @@ def test_memory_budget_flag(capsys):
     assert "exceeded" in err
 
 
+def test_memory_budget_reaches_folner_scan(capsys):
+    code, out, err = run(capsys, ["folner", "--group", "lamplighter", "--n", "2",
+                                  "--cap", "6", "--memory-budget", "10"])
+    assert code == 1
+    assert out == ""
+    assert "error:" in err and "exceeded 10 elements" in err
+
+
+def test_memory_budget_reaches_connected_certificate(capsys):
+    # the rhs table is B(4) with 184 elements; the scan needs B(6) with 904
+    code, out, err = run(capsys, ["certify", "--group", "lamplighter", "--c", "3/4",
+                                  "--alpha", "3", "--scope", "connected:6",
+                                  "--memory-budget", "500"])
+    assert code == 1
+    assert out == ""
+    assert "error:" in err and "exceeded 500 elements at radius 6" in err
+
+
+def test_memory_budget_reaches_quotient_scan(capsys):
+    # B(6) fits; the Folner records need B(7) with 1928 elements
+    code, out, err = run(capsys, ["quotient", "--group", "lamplighter", "--horizon", "6",
+                                  "--cap", "7", "--memory-budget", "1000"])
+    assert code == 1
+    assert out == ""
+    assert "error:" in err and "exceeded 1000 elements at radius 7" in err
+
+
+def test_threads_only_on_suite(capsys):
+    code, _, err = run(capsys, ["growth", "--group", "z:1", "--radius", "2",
+                                "--threads", "2"])
+    assert code == 1
+    assert "unrecognized arguments: --threads" in err
+
+
 def test_memory_budget_env(capsys, monkeypatch):
     monkeypatch.setenv("CAYLEYISO_MEMORY_BUDGET", "50")
     code, _, err = run(capsys, ["growth", "--group", "z:2", "--radius", "10"])
@@ -316,6 +350,5 @@ def test_decimal_rational_parsed_exactly(capsys):
 
 
 def test_threads_validated(capsys):
-    code, _, _ = run(capsys, ["growth", "--group", "z:1", "--radius", "2",
-                              "--threads", "0"])
+    code, _, _ = run(capsys, ["suite", "--threads", "0"])
     assert code == 1

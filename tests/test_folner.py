@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import signal
+import threading
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -8,6 +12,8 @@ from cayleyiso.balls import INFINITE, enumerate_ball
 from cayleyiso.errors import BadParams, NoFamilyForKind
 from cayleyiso.folner import (
     LowerBound,
+    _scan,
+    adjacency_index,
     connected_subsets,
     folner_exact,
     folner_family_upper,
@@ -170,6 +176,85 @@ def test_min_ratio_line_values():
     for m in range(2, 9):
         assert table.min_boundary[m] == 2
     assert table.min_ratio(4) == Fraction(1, 2)
+
+
+# ------------------------------------------------------------ parallel scan
+
+# sizes of at least 5, where the scan splits at size 3 into subtrees
+PARALLEL_SIZES = {"z:1": 9, "z:2": 7, "dinf": 9, "free:2": 6, "heis": 7, "lamplighter": 6}
+
+
+@pytest.mark.parametrize("desc", BUILTIN_DESCRIPTORS)
+def test_parallel_scan_equals_sequential(desc):
+    size = PARALLEL_SIZES[desc]
+    adj = adjacency_index(make_group(desc), size).adj
+    sequential = _scan(adj, size, workers=1)
+    # one task per set of size 3; 100 workers is more than any group has
+    assert sequential[0][3] < 100
+    for workers in (2, 3, 100):
+        assert _scan(adj, size, workers=workers) == sequential
+    assert _scan(adj, size) == sequential
+
+
+class _FailsInChild(tuple):
+    """Adjacency that behaves in the process that made it and fails in any
+    process forked from it: ``raise`` raises, ``exit`` ends the process."""
+
+    def __new__(cls, adj, how):
+        obj = super().__new__(cls, adj)
+        obj.parent = os.getpid()
+        obj.how = how
+        return obj
+
+    def __getitem__(self, i):
+        if os.getpid() != self.parent:
+            if self.how == "exit":
+                os._exit(3)
+            raise ValueError("injected failure")
+        return tuple.__getitem__(self, i)
+
+
+@contextmanager
+def _time_limit(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("how,message", [
+    ("raise", "failed: ValueError: injected failure"),
+    ("exit", "exited with code 3"),
+])
+def test_parallel_scan_worker_failure_raises(how, message):
+    adj = _FailsInChild(adjacency_index(make_group("z:2"), 6).adj, how)
+    with _time_limit(60):
+        with pytest.raises(RuntimeError, match=message):
+            _scan(adj, 6, workers=3)
+    # every forked worker has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_scan_does_not_fork_beside_other_threads():
+    adj = adjacency_index(make_group("z:2"), 6).adj
+    sequential = _scan(adj, 6, workers=1)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        # a forked worker would fail on this adjacency
+        assert _scan(_FailsInChild(adj, "raise"), 6, workers=3) == sequential
+    finally:
+        release.set()
+        other.join(60)
+    assert not other.is_alive()
 
 
 # ------------------------------------------------------------ folner_exact
