@@ -208,7 +208,8 @@ def phi(table: BallTable, v):
         raise BadParams("phi takes exact volumes (int or Fraction), not float")
     if v < 0:
         raise BadParams(f"volume must be >= 0, got {v}")
-    r = bisect_right(table.b, v)
+    # b_r is an integer, so b_r > v exactly when b_r > floor(v)
+    r = bisect_right(table.b, math.floor(v))
     if r <= table.max_radius:
         return r
     if table.exhausted:

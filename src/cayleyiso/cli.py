@@ -211,7 +211,12 @@ def _parse_omega(group, args) -> FiniteSubset:
         return FiniteSubset(group, [(i,) for i in range(a, b + 1)])
     if args.omega_file is not None:
         with open(args.omega_file, "r", encoding="utf-8") as fh:
-            subset = FiniteSubset.from_keys(group, fh)
+            try:
+                subset = FiniteSubset.from_keys(group, fh)
+            except UnicodeDecodeError as exc:
+                raise CayleyIsoError(
+                    f"{args.omega_file} is not UTF-8 text (byte {exc.start}: {exc.reason})"
+                ) from None
         if not subset.elements:
             raise CayleyIsoError(f"no elements in {args.omega_file}")
         return subset

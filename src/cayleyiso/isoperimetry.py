@@ -1,9 +1,5 @@
 """Inner boundaries, boundary ratios and the five isoperimetric inequality forms.
 
-All comparisons are exact: left-hand sides and right-hand sides are
-``fractions.Fraction`` values, so strict inequalities can never be flipped by
-rounding.
-
 Inequality forms (``form`` argument of :func:`check_inequality`):
 
     ``csc-original``  ratio >= 1 / (4 |S| Phi[2 |W|])
@@ -16,6 +12,19 @@ where W is the finite subset, ratio = |boundary| / |W|, and Phi is the growth
 inverse from the ball table.  When Phi is the infinite sentinel (exhausted
 finite group, large inflation) the right-hand side is zero and the inequality
 holds vacuously.
+
+All comparisons are exact and on integers.  Each right-hand side is built as
+one fraction num/den from integers; with a = p/q and e = p/q in lowest terms
+and L_r = b_r E[|X_r|] the sum of the norms over B(r), the parametrized ones
+are
+
+    ``avg-growth``    p b_{r-1} / ((p+q) L_r)
+    ``growth-cor``    p b_{r-1} / ((p+q) b_r r)
+    ``epsilon``       (q-p) / (q r)
+
+and an inequality holds when |boundary| den >= num |W| (> for the strict
+forms), so no rounding can flip one.  ``fractions.Fraction`` appears only in
+the values a report carries and in the exact volume handed to Phi.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .balls import INFINITE, BallTable, average_length, phi
+from .balls import INFINITE, BallTable, phi
 from .errors import BadParams, EmptySet, MalformedElement
 from .groups import Group
 
@@ -174,40 +183,38 @@ def inequality_volume(form: str, size: int, alpha=None, eps=None):
         return 2 * size
     if form in ("avg-growth", "growth-cor"):
         alpha = _as_fraction(alpha, "alpha")
-        if alpha < 0:
+        p, q = alpha.numerator, alpha.denominator
+        if p < 0:
             raise BadParams(f"alpha must be >= 0, got {alpha}")
-        return (1 + alpha) * size
+        return Fraction((p + q) * size, q)
     eps = _as_fraction(eps, "eps")
-    if not (0 < eps < 1):
+    p, q = eps.numerator, eps.denominator
+    if not (0 < p < q):
         raise BadParams(f"eps must satisfy 0 < eps < 1, got {eps}")
-    return size / eps
+    return Fraction(q * size, p)
 
 
 def inequality_rhs(table: BallTable, form: str, size: int, alpha=None, eps=None):
     """Right-hand side of ``form`` for a subset of cardinality ``size``.
 
-    Depends on the subset only through its cardinality; exposed separately so
-    batch checkers can cache it.  Returns ``(rhs, radius_used)``.
+    Depends on the subset only through its cardinality.  Returns
+    ``(rhs, radius_used)``.
     """
     volume = inequality_volume(form, size, alpha=alpha, eps=eps)
     r = phi(table, volume)
     if r is INFINITE:
         return Fraction(0), INFINITE
     if form == "csc-original":
-        rhs = Fraction(1, 4 * len(table.group.generators) * r)
-    elif form == "pete-correia":
-        rhs = Fraction(1, 2 * r)
-    elif form == "epsilon":
-        rhs = (1 - Fraction(eps)) * Fraction(1, r)
-    else:
-        alpha = Fraction(alpha)
-        front = alpha / (1 + alpha) * Fraction(table.b[r - 1], table.b[r])
-        if form == "avg-growth":
-            avg = average_length(table, r)
-            rhs = front / avg
-        else:
-            rhs = front / r
-    return rhs, r
+        return Fraction(1, 4 * len(table.group.generators) * r), r
+    if form == "pete-correia":
+        return Fraction(1, 2 * r), r
+    if form == "epsilon":
+        p, q = eps.numerator, eps.denominator
+        return Fraction(q - p, q * r), r
+    p, q = alpha.numerator, alpha.denominator
+    if form == "avg-growth":
+        return Fraction(p * table.b[r - 1], (p + q) * table.length_sum[r]), r
+    return Fraction(p * table.b[r - 1], (p + q) * table.b[r] * r), r
 
 
 def check_inequality(omega: FiniteSubset, table: BallTable, form: str,
@@ -218,10 +225,10 @@ def check_inequality(omega: FiniteSubset, table: BallTable, form: str,
     strict = form in STRICT_FORMS
     if r is INFINITE:
         holds = True
-    elif strict:
-        holds = lhs > rhs
     else:
-        holds = lhs >= rhs
+        left = lhs.numerator * rhs.denominator
+        right = rhs.numerator * lhs.denominator
+        holds = left > right if strict else left >= right
     params = {}
     if form in ("avg-growth", "growth-cor"):
         params["alpha"] = _as_fraction(alpha, "alpha")

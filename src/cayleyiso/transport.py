@@ -12,9 +12,30 @@ agree; that equality is asserted at build time and re-checkable through
 :func:`verify_lemma`.
 
 Geodesic choice: the lexicographically smallest letter sequence with respect
-to the fixed generator order, obtained by greedy descent (take the smallest
-generator index that decreases the word norm).  Any fixed choice works; this
-one makes ledgers reproducible byte for byte.
+to the fixed generator order.  :func:`geodesic_word` finds it by greedy
+descent (take the smallest generator index that decreases the word norm).
+Any fixed choice works; this one makes ledgers reproducible byte for byte.
+
+The ledger reads the same geodesics off the geodesic tree of B(r) instead.
+``BallTable.elements`` is in BFS discovery order: frontier order, then
+generator order.  Claim: the first pair (y, s) in that order with y*s = g
+gives g's least geodesic as the least geodesic of y followed by s, and the
+sphere of radius n is listed in the lexicographic order of its least
+geodesics.  By induction on n: the geodesics of g are the words w s with w a
+geodesic of some y = g s^-1 of norm n-1.  Comparing two such words compares
+w first and the last letter second, so the least one takes the y whose least
+geodesic comes first, which by induction is the y listed first in the
+frontier, and then the least letter s from that y.  That is exactly the first
+(y, s) to reach g, and ordering sphere n by its first reaching pair orders it
+lexicographically, which carries the induction.  So the tree whose parent
+step of g is its first reaching (y, s) has, as root path of every g, the word
+greedy descent picks.
+
+Building the tree costs b_(r-1) |S| products per ledger.  Per x in W each
+point is then one product, x*g = (x*parent(g))*s, and the first boundary
+point on the path to x*g is inherited: it is the parent's, or x*g itself when
+the parent's path has none.  A point outside W is never a boundary point, so
+an exiting pair (x, g) reads its exit point straight from its parent.
 """
 
 from __future__ import annotations
@@ -65,13 +86,8 @@ class GeodesicWord:
 
 def geodesic_word(table: BallTable, g) -> GeodesicWord:
     """Deterministic minimal-length expression of ``g`` (see module docstring)."""
-    table.group.check_element(g)
-    return _geodesic_word(table, g)
-
-
-def _geodesic_word(table: BallTable, g) -> GeodesicWord:
-    # g is a valid payload; the ledger passes members of its own table
     group = table.group
+    group.check_element(g)
     norm = table.norm(g)  # HorizonExceeded if outside the table
     letters = []
     prefixes = [group.identity]
@@ -151,39 +167,49 @@ def build_ledger(omega: FiniteSubset, table: BallTable, r: int,
         raise MalformedElement("subset and ball table belong to different groups")
     mul = group._mul
     inside = omega.elements
-    ball = table.members(r)
-    omega_sorted = omega.sorted_elements()
-
-    rays = {x: [] for x in omega_sorted}
-    omega_g = {}
-    for g in ball:
-        exits = []
-        for x in omega_sorted:
-            if mul(x, g) not in inside:
-                exits.append(x)
-                rays[x].append(g)
-        omega_g[g] = tuple(exits)
-    rays = {x: tuple(gs) for x, gs in rays.items()}
-
     boundary = omega.boundary_set()
+    norm_of = table.norm_of
+    ball = table.members(r)
+
+    # steps[j - 1] = (parent index, generator) of ball[j]: its first reaching
+    # pair in discovery order, which is the order of ball itself
+    steps = []
+    reached = set()
+    for i, y in enumerate(ball[: table.b[r - 1]]):
+        n = norm_of[y] + 1
+        for s in group.generators:
+            z = mul(y, s)
+            if z not in reached and norm_of.get(z) == n:
+                reached.add(z)
+                steps.append((i, s))
+
+    exits = [[] for _ in ball]
+    rays = {}
     exit_fibers = {}
-    for g in ball:
-        xs = omega_g[g]
-        if not xs or table.norm_of[g] == 0:
-            continue
-        word = _geodesic_word(table, g)
-        for x in xs:
-            for prefix in word.prefixes:
-                point = mul(x, prefix)
-                if point in boundary:
-                    key = (g, point)
-                    exit_fibers[key] = exit_fibers.get(key, 0) + 1
-                    break
-            else:
-                raise ExitNotFound(
-                    f"path from {group.format_element(x)} by "
-                    f"{group.format_element(g)} never met the boundary"
-                )
+    for x in omega.sorted_elements():
+        points = [x]
+        first_exit = [x if x in boundary else None]
+        out = []
+        for j, (i, s) in enumerate(steps, 1):
+            y = mul(points[i], s)
+            points.append(y)
+            b = first_exit[i]
+            if b is None and y in boundary:
+                b = y
+            first_exit.append(b)
+            if y not in inside:
+                g = ball[j]
+                if b is None:  # impossible: the path leaves W from a boundary point
+                    raise ExitNotFound(
+                        f"path from {group.format_element(x)} by "
+                        f"{group.format_element(g)} never met the boundary"
+                    )
+                exits[j].append(x)
+                out.append(g)
+                key = (g, b)
+                exit_fibers[key] = exit_fibers.get(key, 0) + 1
+        rays[x] = tuple(out)
+    omega_g = {g: tuple(xs) for g, xs in zip(ball, exits)}
 
     sum_omega_g = sum(len(xs) for xs in omega_g.values())
     sum_rays = sum(len(gs) for gs in rays.values())

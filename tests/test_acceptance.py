@@ -1,15 +1,26 @@
 """Acceptance battery: every criterion runs at its stated tolerance and
 prints one PASS/FAIL line (run pytest with -s to see them live)."""
 
+from pathlib import Path
+
 import pytest
 
 from cayleyiso import acceptance
 from cayleyiso.cli import main
 
 
+GOLDEN_REPORT = Path(__file__).parent / "data" / "suite_report.txt"
+
+
 @pytest.fixture(scope="module")
 def battery():
     return acceptance.run_battery(threads=1)
+
+
+@pytest.fixture(scope="module")
+def suites(battery):
+    """``run_suite`` for thread counts 1 and 8: ((text, passed), (text, passed))."""
+    return acceptance.run_suite(threads=1), acceptance.run_suite(threads=8)
 
 
 def _report(result):
@@ -60,15 +71,19 @@ def test_criterion_09_reduction_soundness(battery):
     assert _report(battery[8])
 
 
-def test_criterion_10_suite_determinism(battery):
-    text_1, passed_1 = acceptance.run_suite(threads=1)
-    text_8, passed_8 = acceptance.run_suite(threads=8)
+def test_criterion_10_suite_determinism(suites):
+    (text_1, passed_1), (text_8, passed_8) = suites
     identical = text_1 == text_8
     print(f"[10] {'PASS' if identical and passed_1 == passed_8 else 'FAIL'} "
           "suite reports byte-identical for thread counts 1 and 8")
     assert identical
     assert passed_1 == passed_8
     assert "summary:" in text_1
+
+
+def test_suite_report_matches_golden(suites):
+    (text_1, _), _ = suites
+    assert text_1 == GOLDEN_REPORT.read_text(encoding="utf-8")
 
 
 def test_cli_suite_exit_code(battery, capsys):

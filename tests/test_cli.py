@@ -142,6 +142,16 @@ def test_boundary_file(capsys, tmp_path):
     assert payload["ratio"] == {"num": 1, "den": 1}
 
 
+def test_boundary_file_not_utf8(capsys, tmp_path):
+    omega = tmp_path / "omega.txt"
+    omega.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, ["boundary", "--group", "z:2", "--omega-file", str(omega)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("cayleyiso boundary: error: ")
+    assert "not UTF-8" in err
+
+
 def test_boundary_range_rejected_off_line(capsys):
     code, _, err = run(capsys, ["boundary", "--group", "z:2", "--omega", "0..2"])
     assert code == 1

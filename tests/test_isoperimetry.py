@@ -1,10 +1,11 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from cayleyiso.balls import INFINITE, enumerate_ball, phi
-from cayleyiso.errors import BadParams, EmptySet, MalformedElement
+from cayleyiso.balls import INFINITE, enumerate_ball, phi, table_for_volume
+from cayleyiso.errors import BadParams, EmptySet, HorizonExceeded, MalformedElement
 from cayleyiso.isoperimetry import (
     FORMS,
     FiniteSubset,
@@ -219,3 +220,115 @@ def test_exhaustive_small_battery_z():
         omega = FiniteSubset(z, [members[i] for i in range(len(members)) if mask >> i & 1])
         for form, kwargs in cases:
             assert check_inequality(omega, t, form, **kwargs).holds
+
+
+# ------------------------------------------- independent inequality oracle
+
+ORACLE_ALPHAS = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2),
+                 Fraction(7, 5))
+ORACLE_EPSILONS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(99, 100))
+ORACLE_CASES = ([("csc-original", {}), ("pete-correia", {})]
+                + [(form, {"alpha": a}) for form in ("avg-growth", "growth-cor")
+                   for a in ORACLE_ALPHAS]
+                + [("epsilon", {"eps": e}) for e in ORACLE_EPSILONS])
+
+
+def _least_radius_above(table, v):
+    """Phi by linear scan: the least r with b_r > v, or None past the horizon."""
+    return next((r for r in range(table.max_radius + 1) if table.b[r] > v), None)
+
+
+def _rhs_chain(table, form, size, alpha=None, eps=None):
+    """The right-hand side as the Fraction chain of the module docstring, with
+    E[|X_r|] averaged over the norms of B(r) rather than read off the table."""
+    if form in ("csc-original", "pete-correia"):
+        volume = 2 * size
+    elif form == "epsilon":
+        volume = 1 / eps * size
+    else:
+        volume = (1 + alpha) * size
+    r = _least_radius_above(table, volume)
+    b = table.b
+    if form == "csc-original":
+        return 1 / (4 * len(table.group.generators) * Fraction(r)), r
+    if form == "pete-correia":
+        return Fraction(1, 2) / r, r
+    if form == "epsilon":
+        return (1 - eps) / r, r
+    front = alpha / (1 + alpha) * Fraction(b[r - 1], b[r])
+    if form == "growth-cor":
+        return front / r, r
+    mean_length = Fraction(sum(table.norm_of[g] for g in table.members(r)), b[r])
+    return front / mean_length, r
+
+
+@pytest.mark.parametrize("desc", BUILTIN_DESCRIPTORS)
+def test_inequality_sides_match_fraction_chain(desc):
+    group = make_group(desc)
+    t = table_for_volume(group, 48)  # the largest volume below is 12 / (1/4)
+    pool = t.elements[:30]
+    rng = random.Random(47)
+    for size in range(1, 13):
+        omega = FiniteSubset(group, rng.sample(pool, size))
+        bd = sum(1 for x in omega.elements
+                 if any(group.mul(x, s) not in omega.elements for s in group.generators))
+        lhs = Fraction(bd, size)
+        for form, params in ORACLE_CASES:
+            rhs, r = _rhs_chain(t, form, size, **params)
+            assert inequality_rhs(t, form, size, **params) == (rhs, r)
+            report = check_inequality(omega, t, form, **params)
+            assert (report.lhs, report.rhs, report.radius_used) == (lhs, rhs, r)
+            expected = lhs > rhs if form in ("epsilon", "pete-correia") else lhs >= rhs
+            assert report.holds == expected, (form, params, size)
+
+
+# (form, params, n, ball volumes b_0.. of a doctored z:1 table): on the
+# interval of n points both sides equal 2/n, so only the non-strict forms hold
+EQUAL_SIDES = (
+    ("csc-original", {}, 16, [1, 33]),          # 1/(4*2*1)
+    ("pete-correia", {}, 4, [1, 9]),            # 1/(2*1)
+    ("epsilon", {"eps": Fraction(3, 4)}, 8, [1, 11]),  # (1/4)/1
+    ("growth-cor", {"alpha": Fraction(1)}, 16, [1, 24, 48]),  # (1/2)(24/48)/2
+    ("avg-growth", {"alpha": Fraction(1)}, 16, [1, 13, 33]),  # (1/2)(13/33)/(52/33)
+)
+
+
+@pytest.mark.parametrize("form, params, n, b", EQUAL_SIDES)
+def test_equal_sides_pin_strictness(form, params, n, b):
+    z = make_group("z:1")
+    s = [1] + [b[r] - b[r - 1] for r in range(1, len(b))]
+    length_sum = [sum(j * s[j] for j in range(r + 1)) for r in range(len(b))]
+    t = dataclasses.replace(enumerate_ball(z, len(b) - 1), b=b, s=s,
+                            length_sum=length_sum)
+    report = check_inequality(z_interval(z, 0, n - 1), t, form, **params)
+    assert report.radius_used == len(b) - 1
+    assert report.lhs == report.rhs == Fraction(2, n)
+    assert report.holds == (form not in ("epsilon", "pete-correia"))
+
+
+def test_phi_on_fraction_volumes_matches_linear_scan(groups, cyclic4):
+    for group in list(groups.values()) + [cyclic4]:
+        t = enumerate_ball(group, 4)
+        volumes = [Fraction(0), Fraction(6, 2)]
+        for b in t.b:
+            volumes += [Fraction(2 * b, 2), Fraction(3 * b - 1, 3), Fraction(7 * b - 1, 7),
+                        Fraction(2 * b + 1, 2)]
+        for v in volumes:
+            r = _least_radius_above(t, v)
+            if r is not None:
+                assert phi(t, v) == r, (group.descriptor, v)
+            elif t.exhausted:
+                assert phi(t, v) is INFINITE
+            else:
+                with pytest.raises(HorizonExceeded):
+                    phi(t, v)
+
+
+def test_phi_horizon_text_keeps_exact_volume():
+    t = enumerate_ball(make_group("z:1"), 3)
+    with pytest.raises(HorizonExceeded) as info:
+        phi(t, Fraction(15, 2))
+    assert str(info.value) == "b_3 = 7 <= 15/2; enlarge the table radius"
+    with pytest.raises(HorizonExceeded) as info:
+        phi(t, Fraction(14, 2))
+    assert str(info.value) == "b_3 = 7 <= 7; enlarge the table radius"

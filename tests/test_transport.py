@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -166,6 +167,46 @@ def test_ledger_deterministic_rebuild():
     assert a.rays == b.rays
     assert a.exit_fibers == b.exit_fibers
     assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
+
+
+def _ledger_by_definition(group, table, omega, r):
+    """omega_g, rays and exit_fibers straight from their definitions, with the
+    checked ``mul`` and the prefixes of the public ``geodesic_word``."""
+    inside = omega.elements
+    xs = sorted(inside, key=group.key)
+    ball = table.members(r)
+    outside = {(x, g): group.mul(x, g) not in inside for x in xs for g in ball}
+    omega_g = {g: tuple(x for x in xs if outside[x, g]) for g in ball}
+    rays = {x: tuple(g for g in ball if outside[x, g]) for x in xs}
+    boundary = {x for x in xs
+                if any(group.mul(x, s) not in inside for s in group.generators)}
+    fibers = Counter()
+    for g in ball:
+        prefixes = geodesic_word(table, g).prefixes
+        for x in omega_g[g]:
+            exit_point = next(p for p in (group.mul(x, q) for q in prefixes)
+                              if p in boundary)
+            fibers[g, exit_point] += 1
+    return omega_g, rays, dict(fibers)
+
+
+@pytest.mark.parametrize("desc", BUILTIN_DESCRIPTORS)
+def test_ledger_matches_definitions(desc):
+    group = make_group(desc)
+    t = enumerate_ball(group, 2)
+    pool = t.members(2)
+    rng = random.Random(17)
+    for r in (1, 2):
+        subsets = [pool[:1], pool]
+        subsets += [rng.sample(pool, rng.randint(2, min(10, len(pool)))) for _ in range(4)]
+        for elements in subsets:
+            omega = FiniteSubset(group, elements)
+            ledger = build_ledger(omega, t, r)
+            omega_g, rays, fibers = _ledger_by_definition(group, t, omega, r)
+            assert list(ledger.omega_g.items()) == list(omega_g.items())
+            assert list(ledger.rays.items()) == list(rays.items())
+            assert ledger.exit_fibers == fibers
+            assert ledger.max_fiber == max(fibers.values(), default=0)
 
 
 # ------------------------------------------------------------- verify_lemma
