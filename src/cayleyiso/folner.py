@@ -31,6 +31,41 @@ improvement, and the scan of S stops as soon as a leaf reaches the floor.
 Only strict improvements replace the witness, so the first achiever in
 canonical order, and every count and minimum, are those of the full scan.
 
+Two-level count, the step after Redelmeier ("Counting polyominoes: yet
+another attack", Discrete Math. 36, 1981) of counting below the last
+expanded node by arithmetic: a node S with |S| = k-2 handles its children
+S+v (the leaf parents) and the leaves S+v+w below them in one loop, with two
+floors computed once per node.  The child floor bcount(S) + [|S| < deg] -
+ones(S) is the leaf bound one level up.  For the leaf floor, let twos(S) be
+the number of members with one or two outside neighbors.  A member of S
+leaves the boundary only if all its outside neighbors are among the two
+added vertices, so at most twos(S) members do; each added vertex has at most
+|S|+1 neighbors in the final set, as its neighbors are distinct and none is
+the vertex itself, so it keeps an outside neighbor when |S|+1 < deg.  Every
+leaf below S therefore has at least bcount(S) + 2[|S|+1 < deg] - twos(S)
+boundary members.
+Size floor: a member x of a set T is interior only if its deg neighbors, all
+distinct from x, lie in T, which needs |T| >= deg+1.  So a set of at most deg
+vertices has |T| boundary members.  If |T| = deg+1, an interior x has T =
+N[x], its closed neighborhood; a second interior member y = x*g then has
+N[y] = N[x], and left translation by x^-1, an automorphism of the Cayley
+graph, turns that into N[g] = N[e].  At most 1 + t members are interior,
+where t is the number of generators g with N[g] = N[e], and the boundary is
+at least deg - t.  Each of the two floors is raised to the size floor of its
+size.
+While both floors are at least the current minima of their sizes, no set
+below the remaining children is a strict improvement: child S+v adds one set
+of size k-1 and fresh(v) + (the number of candidates after v) leaves, where
+fresh(v) counts the neighbors of v not yet occupied, read without any write.
+Otherwise the child is peeked: its bcount and ones come from the reads of the
+add step without its writes, a strict improvement at size k-1 is recorded,
+and the child is materialized and its leaves scanned only when its leaf
+bound, raised to the leaf floor of S, is below the leaf minimum.  Counts,
+minima and first achievers stay those of the full scan by the argument
+above.  The floors need the identity's neighbors distinct and different from
+it; otherwise, and when ``connected_subsets`` collects every set, each set is
+materialized.
+
 Parallel scan, after Mertens and Lautenbacher ("Counting lattice animals: a
 parallel attack", J. Stat. Phys. 66, 1992).  Split: the caller's process
 enumerates the sets of size up to 3 and tallies them itself; each node of
@@ -131,6 +166,19 @@ def _workers() -> int:
         return 1
 
 
+def _size_floor(adj, size):
+    """Least inner boundary of any set of ``size`` vertices, by the size floor
+    of the module docstring (0 where it gives nothing)."""
+    root_adj = adj[0]
+    deg = len(root_adj)
+    if size <= deg:
+        return size
+    if size == deg + 1:
+        closed = {0, *root_adj}
+        return deg - sum(1 for g in root_adj if {g, *adj[g]} == closed)
+    return 0
+
+
 def _scan(adj, max_size, buckets=None, workers=None):
     """Run the canonical enumeration up to ``max_size`` and tally it by size.
 
@@ -141,13 +189,13 @@ def _scan(adj, max_size, buckets=None, workers=None):
     lists), every set is also appended to ``buckets[size]`` as a tuple of
     vertex indices, in canonical order.
 
-    Sets of the top size (leaves) are handled in the loop of their parent:
-    counted by arithmetic, and scanned only when one of them could set a new
-    minimum.  With more than one worker (default: the CPUs of the affinity
-    mask) the tree is split into subtrees that run in forked processes, with
-    the same result (see the module docstring).  The scan stays in this
-    process when collecting buckets, when ``max_size`` is below 5, or when
-    the process runs other threads.
+    Sets of the top two sizes are handled in the loop of the node two levels
+    above them: counted by arithmetic, and examined only when one of them
+    could set a new minimum.  With more than one worker (default: the CPUs
+    of the affinity mask) the tree is split into subtrees that run in forked
+    processes, with the same result (see the module docstring).  The scan
+    stays in this process when collecting buckets, when ``max_size`` is
+    below 5, or when the process runs other threads.
     """
     if workers is None:
         workers = _workers()
@@ -198,13 +246,22 @@ def _enumerator(adj, max_size, buckets=None, split=0, tasks=None):
     collect = buckets is not None
     root_adj = adj[0]
     deg = len(root_adj)
-    # x*g == x*h only if g == h, so distinct neighbors of the identity mean
-    # distinct neighbors everywhere, which the leaf bound needs
-    use_bound = not collect and len(set(root_adj)) == deg
+    # x*g == x*h only if g == h, so distinct neighbors of the identity, none
+    # of them the identity, mean the same everywhere, which the floors need
+    use_bound = not collect and len(set(root_adj)) == deg and 0 not in root_adj
+    # nodes of this size count their two lower levels (-1: none)
+    pair_size = max_size - 2 if use_bound else -1
     outside = 1 if leaf_parent < deg else 0
+    child_outside = 1 if pair_size < deg else 0
+    if use_bound:
+        child_size_floor = _size_floor(adj, leaf_parent)
+        leaf_size_floor = _size_floor(adj, max_size)
 
     def rec(cands, size, bcount, ones):
         # ``ones`` is the number of members with exactly one outside neighbor
+        if size == pair_size:
+            pairs(cands, bcount, ones)
+            return
         nsize = size + 1
         for i, v in enumerate(cands):
             av = adj[v]
@@ -236,32 +293,12 @@ def _enumerator(adj, max_size, buckets=None, split=0, tasks=None):
             if collect:
                 buckets[nsize].append(tuple(members))
             if nsize == leaf_parent:
-                new = [u for u in av if not occupied[u]]
-                count[max_size] += len(new) + len(cands) - i - 1
-                # every leaf below has at least ``floor`` boundary members
-                floor = bc + outside - o1 if use_bound else -1
-                least = best[max_size]
-                if floor < least:
-                    leaves = new + cands[i + 1:]
-                    for w in leaves:
-                        b = bc
-                        out = False
-                        for u in adj[w]:
-                            if in_set[u]:
-                                if outdeg[u] == 1:
-                                    b -= 1
-                            else:
-                                out = True
-                        if out:
-                            b += 1
-                        if b < least:
-                            least = b
-                            witness[max_size] = (*members, w)
-                            if b <= floor:
-                                break
-                    best[max_size] = least
-                    if collect:
-                        buckets[max_size].extend([(*members, w) for w in leaves])
+                leaves = [u for u in av if not occupied[u]] + cands[i + 1:]
+                count[max_size] += len(leaves)
+                # reached only where the floors do not hold, so no floor
+                scan_leaves(leaves, bc, -1)
+                if collect:
+                    buckets[max_size].extend([(*members, w) for w in leaves])
             elif nsize < leaf_parent:
                 new = [u for u in av if not occupied[u]]
                 for u in new:
@@ -277,6 +314,91 @@ def _enumerator(adj, max_size, buckets=None, split=0, tasks=None):
             for u in av:
                 if in_set[u]:
                     outdeg[u] += 1
+
+    def pairs(cands, bcount, ones):
+        # the leaf parents S+v and the leaves below a node S of size
+        # max_size - 2, counted by arithmetic where the floors allow it
+        twos = ones + [outdeg[u] for u in members].count(2)
+        child_floor = max(bcount + child_outside - ones, child_size_floor)
+        leaf_floor = max(bcount + 2 * outside - twos, leaf_size_floor)
+        last = len(cands) - 1
+        for i, v in enumerate(cands):
+            if child_floor >= best[leaf_parent] and leaf_floor >= best[max_size]:
+                # no set below the remaining children is a strict improvement;
+                # each child has a leaf per candidate after it and per
+                # neighbor that is not occupied
+                rest = cands[i:]
+                left = len(rest)
+                count[leaf_parent] += left
+                occ = sum([occupied[u] for w in rest for u in adj[w]])
+                count[max_size] += left * (left - 1) // 2 + left * deg - occ
+                return
+            # peek at S+v: the reads of ``rec``'s add loop, without the writes
+            av = adj[v]
+            od = 0
+            fresh = 0
+            bc = bcount
+            o1 = ones
+            for u in av:
+                if in_set[u]:
+                    d = outdeg[u]
+                    if d == 1:
+                        bc -= 1
+                        o1 -= 1
+                    elif d == 2:
+                        o1 += 1
+                else:
+                    od += 1
+                    if not occupied[u]:
+                        fresh += 1
+            if od:
+                bc += 1
+                if od == 1:
+                    o1 += 1
+            count[leaf_parent] += 1
+            if bc < best[leaf_parent]:
+                best[leaf_parent] = bc
+                witness[leaf_parent] = (*members, v)
+            count[max_size] += fresh + last - i
+            floor = bc + outside - o1
+            if floor < leaf_floor:
+                floor = leaf_floor
+            if floor < best[max_size]:
+                for u in av:
+                    if in_set[u]:
+                        outdeg[u] -= 1
+                outdeg[v] = od
+                in_set[v] = 1
+                members.append(v)
+                leaves = [u for u in av if not occupied[u]] + cands[i + 1:]
+                scan_leaves(leaves, bc, floor)
+                members.pop()
+                in_set[v] = 0
+                for u in av:
+                    if in_set[u]:
+                        outdeg[u] += 1
+
+    def scan_leaves(leaves, bc, floor):
+        # record the least leaf members + [w] below a leaf parent with ``bc``
+        # boundary members; stop once a leaf reaches ``floor``
+        least = best[max_size]
+        for w in leaves:
+            b = bc
+            out = False
+            for u in adj[w]:
+                if in_set[u]:
+                    if outdeg[u] == 1:
+                        b -= 1
+                else:
+                    out = True
+            if out:
+                b += 1
+            if b < least:
+                least = b
+                witness[max_size] = (*members, w)
+                if b <= floor:
+                    break
+        best[max_size] = least
 
     def run(prefix, cands, bcount, ones, leaf_least):
         count[:] = [0] * (max_size + 1)

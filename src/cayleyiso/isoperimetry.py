@@ -164,7 +164,9 @@ class InequalityReport:
 
 
 def _as_fraction(value, name: str) -> Fraction:
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
         return Fraction(value)
     raise BadParams(f"{name} must be an exact rational, got {value!r}")
 
@@ -221,6 +223,12 @@ def check_inequality(omega: FiniteSubset, table: BallTable, form: str,
                      alpha=None, eps=None) -> InequalityReport:
     """Evaluate one inequality form on a concrete subset, exactly."""
     lhs = boundary_ratio(omega)
+    # converted once; the checks below pass the Fraction through unchanged
+    params = {}
+    if form in ("avg-growth", "growth-cor"):
+        alpha = params["alpha"] = _as_fraction(alpha, "alpha")
+    elif form == "epsilon":
+        eps = params["eps"] = _as_fraction(eps, "eps")
     rhs, r = inequality_rhs(table, form, len(omega), alpha=alpha, eps=eps)
     strict = form in STRICT_FORMS
     if r is INFINITE:
@@ -229,9 +237,4 @@ def check_inequality(omega: FiniteSubset, table: BallTable, form: str,
         left = lhs.numerator * rhs.denominator
         right = rhs.numerator * lhs.denominator
         holds = left > right if strict else left >= right
-    params = {}
-    if form in ("avg-growth", "growth-cor"):
-        params["alpha"] = _as_fraction(alpha, "alpha")
-    elif form == "epsilon":
-        params["eps"] = _as_fraction(eps, "eps")
     return InequalityReport(form, lhs, rhs, holds, strict, r, params)

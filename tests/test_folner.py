@@ -12,6 +12,7 @@ from cayleyiso.balls import INFINITE, enumerate_ball
 from cayleyiso.errors import BadParams, NoFamilyForKind
 from cayleyiso.folner import (
     LowerBound,
+    _enumerator,
     _scan,
     adjacency_index,
     connected_subsets,
@@ -150,9 +151,11 @@ def test_connected_counts_known_sequences():
 
 
 def test_min_ratio_witness_attains_minimum():
-    # every built-in group; on lamplighter the leaf bound skips the leaves
-    # of nearly every leaf parent
-    sizes = {"z:1": 6, "z:2": 6, "dinf": 6, "free:2": 5, "heis": 6, "lamplighter": 6}
+    # every built-in group, each against the bucket path of connected_subsets,
+    # which materializes every set; on lamplighter nearly every leaf parent
+    # is counted only, on z:2 and heis at size 7 leaf parents are peeked and
+    # skipped as well as materialized
+    sizes = {"z:1": 6, "z:2": 7, "dinf": 6, "free:2": 5, "heis": 7, "lamplighter": 6}
     for desc in BUILTIN_DESCRIPTORS:
         group = make_group(desc)
         size = sizes[desc]
@@ -168,6 +171,76 @@ def test_min_ratio_witness_attains_minimum():
             assert len(witness) == m
             assert boundary_ratio(witness) == table.min_ratio(m)
             assert witness.elements == first[m]
+
+
+def _grown_connected_sets(root, neighbors, size):
+    """Connected sets containing ``root``, per size up to ``size``: grown from
+    ``root`` by every neighbor of every member, as listed by ``neighbors``,
+    and de-duplicated as frozensets."""
+    levels = [set(), {frozenset([root])}]
+    for _ in range(size - 1):
+        levels.append({s | {y} for s in levels[-1] for x in s
+                       for y in neighbors(x) if y not in s})
+    return levels
+
+
+@pytest.mark.parametrize("desc,size", [
+    # at size 5 the parallel split level is also the two-level counting level;
+    # z:2 at 5 and free:2 at 6 meet the size floor at deg+1 = 5
+    ("lamplighter", 5), ("lamplighter", 6), ("heis", 7), ("z:2", 5), ("free:2", 6),
+])
+def test_scan_matches_grown_sets(desc, size):
+    group = make_group(desc)
+    # neighbors by the checked ``mul``
+    levels = _grown_connected_sets(
+        group.identity, lambda x: [group.mul(x, g) for g in group.generators], size)
+    count = [len(level) for level in levels]
+    min_boundary = [None] + [
+        min(len(FiniteSubset(group, s).boundary_set()) for s in level)
+        for level in levels[1:]
+    ]
+    index = adjacency_index(group, size)
+    for workers in (1, 2, 3):
+        got_count, got_min, witness = _scan(index.adj, size, workers=workers)
+        assert got_count == count
+        assert got_min == min_boundary
+        for m in range(1, size + 1):
+            elems = frozenset(index.table.elements[i] for i in witness[m])
+            assert elems in levels[m]
+            assert len(FiniteSubset(group, elems).boundary_set()) == min_boundary[m]
+    # seeded just above the minimum, the floors skip from the first node on,
+    # so a floor above some minimizer's boundary would lose the minimum
+    run = _enumerator(index.adj, size)
+    _, seeded_best, seeded_witness = run((), [0], 0, 0, min_boundary[size] + 1)
+    assert seeded_best[size] == min_boundary[size]
+    assert seeded_witness[size] == witness[size]
+
+
+def test_scan_on_circulants_matches_grown_sets():
+    # circulants, the Cayley graphs of Z/n with a symmetric step set: finite
+    # dense graphs where large sets have small or empty boundaries; with the
+    # leaf minimum seeded just above the true one, a leaf floor above some
+    # minimizer's boundary would lose the minimum
+    for n in range(5, 10):
+        for r in range(1, n // 2 + 1):
+            for half in itertools.combinations(range(1, n // 2 + 1), r):
+                steps = sorted({s % n for h in half for s in (h, -h)})
+                adj = tuple(tuple((i + s) % n for s in steps) for i in range(n))
+                size = min(n, 7)
+                levels = _grown_connected_sets(0, adj.__getitem__, size)
+                count = [len(level) for level in levels]
+                min_boundary = [None] + [
+                    min((sum(1 for x in s if any(y not in s for y in adj[x]))
+                         for s in level), default=None)
+                    for level in levels[1:]
+                ]
+                for workers in (1, 2):
+                    got_count, got_min, _ = _scan(adj, size, workers=workers)
+                    assert (got_count, got_min) == (count, min_boundary), (n, steps)
+                if min_boundary[size] is not None:
+                    run = _enumerator(adj, size)
+                    seeded = run((), [0], 0, 0, min_boundary[size] + 1)
+                    assert seeded[1][size] == min_boundary[size], (n, steps)
 
 
 def test_min_ratio_line_values():
