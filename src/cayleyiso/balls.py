@@ -156,11 +156,7 @@ def enumerate_ball(group: Group, radius: int, max_elements: int | None = None) -
                     norm_of[y] = r
                     new_frontier.append(y)
                     if len(norm_of) > budget:
-                        raise MemoryBudgetExceeded(
-                            f"ball of {group.descriptor} exceeded {budget} elements "
-                            f"at radius {r}",
-                            last_completed_radius=r - 1,
-                        )
+                        raise _budget_exceeded(group, budget, r)
         elements.extend(new_frontier)
         s.append(len(new_frontier))
         b.append(b[-1] + len(new_frontier))
@@ -173,25 +169,31 @@ def enumerate_ball(group: Group, radius: int, max_elements: int | None = None) -
                 b.append(b[-1])
                 length_sum.append(length_sum[-1])
             break
-    table = BallTable(group, radius, elements, norm_of, b, s, length_sum, exhausted)
     # b_r = b_{r-1} + s_r and the degree bounds are theorems; a violation
     # here means the BFS itself is broken
     assert all(b[r] == b[r - 1] + s[r] for r in range(1, radius + 1))
-    assert _degree_bound_violation(table, "spheres") is None
-    assert _degree_bound_violation(table, "balls") is None
-    return table
+    for which in ("spheres", "balls"):
+        assert _degree_bound_violation(which, s, b, len(gens)) is None
+    return BallTable(group, radius, elements, norm_of, b, s, length_sum, exhausted)
 
 
-def _degree_bound_violation(table: BallTable, which: str):
-    """First radius r >= 2 breaking a degree bound of the growth counts.
+def _budget_exceeded(group: Group, budget: int, r: int) -> MemoryBudgetExceeded:
+    """The error of a BFS whose ball outgrew ``budget`` elements at radius r."""
+    return MemoryBudgetExceeded(
+        f"ball of {group.descriptor} exceeded {budget} elements at radius {r}",
+        last_completed_radius=r - 1,
+    )
+
+
+def _degree_bound_violation(which: str, s: list, b: list, k: int):
+    """First radius r >= 2 at which sphere counts ``s`` or ball counts ``b``
+    break a degree bound of a Cayley graph with k generators.
 
     ``which`` is ``"spheres"`` for s_r <= (k-1) s_(r-1) or ``"balls"`` for
-    b_r <= k b_(r-1), with k generators.  Returns None when every radius of
-    the table obeys the bound.
+    b_r <= k b_(r-1).  Returns None when every radius obeys the bound.
     """
-    k = len(table.group.generators)
-    counts, factor = (table.s, k - 1) if which == "spheres" else (table.b, k)
-    for r in range(2, table.max_radius + 1):
+    counts, factor = (s, k - 1) if which == "spheres" else (b, k)
+    for r in range(2, len(counts)):
         if counts[r] > factor * counts[r - 1]:
             return r
     return None

@@ -14,7 +14,8 @@ class UnknownKind(CayleyIsoError):
 
 
 class InvalidParams(CayleyIsoError):
-    """Group parameters out of range (e.g. dimension or rank below 1)."""
+    """Group parameters out of range (e.g. dimension or rank below 1), or
+    generators that repeat or include the identity."""
 
 
 class MalformedElement(CayleyIsoError):

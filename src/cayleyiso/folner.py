@@ -9,6 +9,12 @@ ratio does at least as well with fewer elements.  Hence some minimizer is
 connected and can be translated to contain the identity.  That reduction is
 property-tested rather than assumed (see the test suite).
 
+The graph: ``adjacency_index`` builds B(max_size) and the neighbor index
+rows of its inner vertices in one breadth-first search, in the discovery
+order of ``enumerate_ball``.  It rejects generators that repeat or include
+the identity, so every row lists deg distinct vertices other than its own:
+x*g == x*h only for g == h, and x*g == x only for g == e.
+
 Enumeration scheme: grow a connected set one adjacent vertex at a time; when
 a candidate is expanded, all candidates listed before it become permanently
 banned in that branch, which makes every connected superset reachable exactly
@@ -19,13 +25,11 @@ by arithmetic in the loop of their parent S (|S| = k-1) and scanned only
 when one could set a new minimum.  Adding a vertex v to S changes the
 inner-boundary count by [v keeps an outside neighbor] minus the number of
 members of S adjacent to v whose only outside neighbor was v.  The Cayley
-graph is regular of degree deg, and its neighbors are distinct when the
-generators are, because x*g == x*h only for g == h (the scan checks this at
-the identity and scans every leaf otherwise); so v has at most |S| neighbors
-in S, and the first term is 1 whenever |S| < deg.  The second term is at
-most ones(S), the number of members with exactly one outside neighbor.
-Every leaf below S
-therefore has at least bcount(S) + [|S| < deg] - ones(S) boundary members.
+graph is regular of degree deg with distinct neighbors, so v has at most
+|S| neighbors in S, and the first term is 1 whenever |S| < deg.  The second
+term is at most ones(S), the number of members with exactly one outside
+neighbor.  Every leaf below S therefore has at least
+bcount(S) + [|S| < deg] - ones(S) boundary members.
 When that floor is not below the current minimum, no leaf of S is a strict
 improvement, and the scan of S stops as soon as a leaf reaches the floor.
 Only strict improvements replace the witness, so the first achiever in
@@ -62,8 +66,7 @@ add step without its writes, a strict improvement at size k-1 is recorded,
 and the child is materialized and its leaves scanned only when its leaf
 bound, raised to the leaf floor of S, is below the leaf minimum.  Counts,
 minima and first achievers stay those of the full scan by the argument
-above.  The floors need the identity's neighbors distinct and different from
-it; otherwise, and when ``connected_subsets`` collects every set, each set is
+above.  When ``connected_subsets`` collects every set, each set is
 materialized.
 
 Parallel scan, after Mertens and Lautenbacher ("Counting lattice animals: a
@@ -96,8 +99,8 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .balls import DEFAULT_MAX_ELEMENTS, INFINITE, BallTable, enumerate_ball
-from .errors import BadParams, NoFamilyForKind
+from .balls import DEFAULT_MAX_ELEMENTS, INFINITE, _budget_exceeded, _degree_bound_violation
+from .errors import BadParams, InvalidParams, NoFamilyForKind, RadiusOutOfRange
 from .groups import DihedralInfinite, Group, LamplighterZ2, ZPowerD
 from .isoperimetry import FiniteSubset
 
@@ -127,31 +130,70 @@ class LowerBound:
 class AdjacencyIndex:
     """Vertices of B(max_size) in discovery order with neighbor index tuples.
 
-    ``adj[i]`` is None for vertices on the outermost sphere; those are never
-    expanded because a connected set of size k containing the identity stays
-    inside B(k-1).
+    ``elements`` is B(max_size) in the order of :func:`enumerate_ball`.
+    ``adj[i]`` lists the indices of ``elements[i] * g`` over the generators
+    g, in generator order; its entries are distinct and differ from i, as
+    the generators are distinct and differ from the identity (see
+    :func:`adjacency_index`).  It is None for vertices on the outermost
+    sphere; those are never expanded because a connected set of size k
+    containing the identity stays inside B(k-1).
     """
 
     group: Group
     max_size: int
-    table: BallTable
+    elements: list
     adj: tuple
 
 
 def adjacency_index(group: Group, max_size: int,
                     max_elements: int | None = None) -> AdjacencyIndex:
-    table = enumerate_ball(group, max_size, max_elements=max_elements)
-    index = {e: i for i, e in enumerate(table.elements)}
+    """Cayley graph of B(max_size), built by one breadth-first search.
+
+    The search visits frontiers and generators in the order of
+    :func:`enumerate_ball` and records a vertex's row when it expands the
+    vertex, so every product x*g is formed once.  It raises the same
+    :class:`MemoryBudgetExceeded` as :func:`enumerate_ball` under the
+    element budget ``max_elements``, and :class:`InvalidParams` when the
+    identity's row repeats an index or contains the identity: the
+    generators then repeat or include the identity.  In a Cayley graph
+    x*g == x*h only for g == h, so a row that is clean at the identity is
+    clean at every vertex.
+    """
+    if not isinstance(max_size, int) or max_size < 0:
+        raise RadiusOutOfRange(f"max_size must be a non-negative integer, got {max_size!r}")
+    budget = DEFAULT_MAX_ELEMENTS if max_elements is None else max_elements
+    e = group.identity
+    elements = [e]
+    index = {e: 0}
     adj = []
-    limit = max_size - 1
+    b = [1]
     mul = group._mul
     gens = group.generators
-    for x in table.elements:
-        if table.norm_of[x] <= limit:
-            adj.append(tuple(index[mul(x, g)] for g in gens))
-        else:
-            adj.append(None)
-    return AdjacencyIndex(group, max_size, table, tuple(adj))
+    start = 0
+    for r in range(1, max_size + 1):
+        for x in elements[start:]:
+            row = []
+            for g in gens:
+                y = mul(x, g)
+                i = index.get(y)
+                if i is None:
+                    i = index[y] = len(elements)
+                    elements.append(y)
+                    if i >= budget:
+                        raise _budget_exceeded(group, budget, r)
+                row.append(i)
+            adj.append(tuple(row))
+        if r == 1 and (0 in adj[0] or len(set(adj[0])) < len(gens)):
+            raise InvalidParams(
+                f"generators of {group.descriptor} repeat or include the identity")
+        start = b[-1]
+        b.append(len(elements))
+    adj.extend([None] * (len(elements) - len(adj)))
+    # the degree bounds are theorems; a violation means the BFS is broken
+    s = [1] + [b[r] - b[r - 1] for r in range(1, max_size + 1)]
+    for which in ("spheres", "balls"):
+        assert _degree_bound_violation(which, s, b, len(gens)) is None
+    return AdjacencyIndex(group, max_size, elements, tuple(adj))
 
 
 # canonical-tree depth at which a parallel scan hands subtrees to workers
@@ -205,7 +247,7 @@ def _scan(adj, max_size, buckets=None, workers=None):
     split = _SPLIT_SIZE if parallel and max_size >= _SPLIT_SIZE + 2 else 0
     tasks = []
     run = _enumerator(adj, max_size, buckets, split, tasks)
-    count, best, witness = run((), [0], 0, 0, max_size + 1)
+    count, best, witness = run((), [0], 0, 0, [max_size + 1] * (max_size + 1))
     if tasks:
         workers = min(workers, len(tasks))
         shares = _run_shares(run, tasks, workers, max_size)
@@ -221,17 +263,18 @@ def _scan(adj, max_size, buckets=None, workers=None):
 
 
 def _enumerator(adj, max_size, buckets=None, split=0, tasks=None):
-    """Return ``run(prefix, cands, bcount, ones, leaf_least)``.
+    """Return ``run(prefix, cands, bcount, ones, least)``.
 
     ``run`` enumerates the subtree of the canonical tree below the node whose
     members are ``prefix`` (in the order they were added), whose candidate
     list is ``cands`` and whose inner boundary has ``bcount`` members,
-    ``ones`` of them with exactly one outside neighbor.  The root is
-    ``run((), [0], 0, 0, max_size + 1)``.  It returns per-size lists
-    ``(count, best, witness)`` for the sets below the node; ``best`` holds
-    ``max_size + 1`` where nothing was found.  ``leaf_least`` seeds the
-    minimum at the top size: leaves are only recorded when strictly below
-    it.  A node of size ``split`` (0: none) is not expanded; its ``prefix,
+    ``ones`` of them with exactly one outside neighbor.  ``least`` seeds
+    the minimum of every size: a set is only recorded when it is strictly
+    below the seed of its size, and ``max_size + 1`` is above any boundary.
+    The root is ``run((), [0], 0, 0, [max_size + 1] * (max_size + 1))``.
+    It returns per-size lists ``(count, best, witness)`` for the sets below
+    the node; ``best`` holds the seed where nothing below it was found.  A
+    node of size ``split`` (0: none) is not expanded; its ``prefix,
     cands, bcount, ones`` are appended to ``tasks`` instead.
     """
     n = len(adj)
@@ -244,16 +287,12 @@ def _enumerator(adj, max_size, buckets=None, split=0, tasks=None):
     best = [max_size + 1] * (max_size + 1)  # above any boundary count
     witness = [None] * (max_size + 1)
     collect = buckets is not None
-    root_adj = adj[0]
-    deg = len(root_adj)
-    # x*g == x*h only if g == h, so distinct neighbors of the identity, none
-    # of them the identity, mean the same everywhere, which the floors need
-    use_bound = not collect and len(set(root_adj)) == deg and 0 not in root_adj
+    deg = len(adj[0])
     # nodes of this size count their two lower levels (-1: none)
-    pair_size = max_size - 2 if use_bound else -1
+    pair_size = -1 if collect else max_size - 2
     outside = 1 if leaf_parent < deg else 0
     child_outside = 1 if pair_size < deg else 0
-    if use_bound:
+    if not collect:
         child_size_floor = _size_floor(adj, leaf_parent)
         leaf_size_floor = _size_floor(adj, max_size)
 
@@ -400,9 +439,9 @@ def _enumerator(adj, max_size, buckets=None, split=0, tasks=None):
                     break
         best[max_size] = least
 
-    def run(prefix, cands, bcount, ones, leaf_least):
+    def run(prefix, cands, bcount, ones, least):
         count[:] = [0] * (max_size + 1)
-        best[:] = [max_size + 1] * max_size + [leaf_least]
+        best[:] = least
         witness[:] = [None] * (max_size + 1)
         # replay the additions of the prefix; the occupied vertices of a node
         # are the identity and every neighbor of a member
@@ -433,10 +472,10 @@ def _enumerator(adj, max_size, buckets=None, split=0, tasks=None):
 def _run_share(run, share, max_size):
     """Run the tasks of ``share`` in order, carrying the leaf minimum."""
     results = []
-    leaf_least = max_size + 1
+    least = [max_size + 1] * (max_size + 1)
     for prefix, cands, bcount, ones in share:
-        result = run(prefix, cands, bcount, ones, leaf_least)
-        leaf_least = result[1][max_size]
+        result = run(prefix, cands, bcount, ones, least)
+        least = least[:max_size] + [result[1][max_size]]
         results.append(result)
     return results
 
@@ -523,7 +562,7 @@ class MinRatioTable:
         return Fraction(self.min_boundary[size], size)
 
     def witness_subset(self, size: int) -> FiniteSubset:
-        elems = [self.index.table.elements[i] for i in self.witness[size]]
+        elems = [self.index.elements[i] for i in self.witness[size]]
         return FiniteSubset(self.group, elems)
 
 
@@ -542,7 +581,7 @@ def min_ratio_table(group: Group, max_size: int, use_cache: bool = True,
     cache_key = (group.descriptor, max_size)
     cached = _scan_cache.get(cache_key) if use_cache else None
     budget = DEFAULT_MAX_ELEMENTS if max_elements is None else max_elements
-    if cached is not None and len(cached.index.table.elements) <= budget:
+    if cached is not None and len(cached.index.elements) <= budget:
         return cached
     # over budget, a cached table fails as an uncached call would
     index = adjacency_index(group, max_size, max_elements)
@@ -559,7 +598,7 @@ def connected_subsets(group: Group, max_size: int):
     if not isinstance(max_size, int) or max_size < 1:
         raise BadParams(f"max_size must be a positive integer, got {max_size!r}")
     index = adjacency_index(group, max_size)
-    elements = index.table.elements
+    elements = index.elements
     buckets = [[] for _ in range(max_size + 1)]
     _scan(index.adj, max_size, buckets)
     for bucket in buckets:

@@ -272,7 +272,7 @@ def verify_lemma(which: str, table: BallTable | None = None,
 
 
 def _verify_counts(which: str, table: BallTable) -> LemmaReport:
-    r = _degree_bound_violation(table, which)
+    r = _degree_bound_violation(which, table.s, table.b, len(table.group.generators))
     if r is not None:
         return LemmaReport(which, False, {"r": r}, f"violated at radius {r}")
     return LemmaReport(which, True, None,

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from cayleyiso.balls import INFINITE, enumerate_ball
-from cayleyiso.errors import BadParams, NoFamilyForKind
+from cayleyiso.errors import BadParams, InvalidParams, MemoryBudgetExceeded, NoFamilyForKind
 from cayleyiso.folner import (
     LowerBound,
     _enumerator,
@@ -20,7 +20,7 @@ from cayleyiso.folner import (
     folner_family_upper,
     min_ratio_table,
 )
-from cayleyiso.groups import make_group
+from cayleyiso.groups import ZPowerD, make_group
 from cayleyiso.isoperimetry import FiniteSubset, boundary_ratio
 
 from conftest import BUILTIN_DESCRIPTORS
@@ -205,15 +205,25 @@ def test_scan_matches_grown_sets(desc, size):
         assert got_count == count
         assert got_min == min_boundary
         for m in range(1, size + 1):
-            elems = frozenset(index.table.elements[i] for i in witness[m])
+            elems = frozenset(index.elements[i] for i in witness[m])
             assert elems in levels[m]
             assert len(FiniteSubset(group, elems).boundary_set()) == min_boundary[m]
     # seeded just above the minimum, the floors skip from the first node on,
     # so a floor above some minimizer's boundary would lose the minimum
     run = _enumerator(index.adj, size)
-    _, seeded_best, seeded_witness = run((), [0], 0, 0, min_boundary[size] + 1)
+    unseeded = [size + 1] * size
+    _, seeded_best, seeded_witness = run((), [0], 0, 0, unseeded + [min_boundary[size] + 1])
     assert seeded_best[size] == min_boundary[size]
     assert seeded_witness[size] == witness[size]
+    # every smaller size seeded just above its minimum and the leaf at
+    # exactly its minimum: the child floor now decides from the first node
+    # on, so a child floor above some minimizer's boundary would lose that
+    # size's minimum or its first achiever
+    least = [size + 1] + [b + 1 for b in min_boundary[1:size]] + [min_boundary[size]]
+    seeded_count, seeded_best, seeded_witness = run((), [0], 0, 0, least)
+    assert seeded_count == count
+    assert seeded_best[1:size] == min_boundary[1:size]
+    assert seeded_witness[:size] == witness[:size]
 
 
 def test_scan_on_circulants_matches_grown_sets():
@@ -239,8 +249,61 @@ def test_scan_on_circulants_matches_grown_sets():
                     assert (got_count, got_min) == (count, min_boundary), (n, steps)
                 if min_boundary[size] is not None:
                     run = _enumerator(adj, size)
-                    seeded = run((), [0], 0, 0, min_boundary[size] + 1)
+                    seeded = run((), [0], 0, 0, [size + 1] * size + [min_boundary[size] + 1])
                     assert seeded[1][size] == min_boundary[size], (n, steps)
+
+
+@pytest.mark.parametrize("desc", BUILTIN_DESCRIPTORS)
+def test_adjacency_index_matches_ball_and_checked_mul(desc):
+    # the one-pass graph against the BFS of ``enumerate_ball`` and the
+    # checked public ``mul``, and its budget error against the ball's
+    group = make_group(desc)
+    for k in range(4, 8):
+        index = adjacency_index(group, k)
+        table = enumerate_ball(group, k)
+        assert index.elements == table.elements
+        position = {x: i for i, x in enumerate(index.elements)}
+        for x, row in zip(index.elements, index.adj):
+            if table.norm(x) < k:
+                assert row == tuple(position[group.mul(x, g)] for g in group.generators)
+            else:
+                assert row is None
+        for budget in (1, table.b[k - 1], table.b[k] - 1):
+            errors = []
+            for build in (adjacency_index, enumerate_ball):
+                with pytest.raises(MemoryBudgetExceeded) as caught:
+                    build(group, k, max_elements=budget)
+                errors.append((str(caught.value), caught.value.last_completed_radius))
+            assert errors[0] == errors[1]
+
+
+class _DoubledLine(ZPowerD):
+    """The line Z with each generator listed twice."""
+
+    def __init__(self):
+        super().__init__(1)
+        self.generators = self.generators * 2
+
+
+class _LoopedLine(ZPowerD):
+    """The line Z with the identity among its generators."""
+
+    def __init__(self):
+        super().__init__(1)
+        self.generators = self.generators + (self.identity,)
+
+
+@pytest.mark.parametrize("group_type", [_DoubledLine, _LoopedLine])
+def test_adjacency_index_rejects_repeated_or_identity_generators(group_type):
+    # a repeated neighbor would be counted once per repeat, and the floors
+    # assume distinct neighbors other than the vertex itself
+    group = group_type()
+    with pytest.raises(InvalidParams, match="repeat or include the identity"):
+        adjacency_index(group, 4)
+    with pytest.raises(InvalidParams):
+        min_ratio_table(group, 4, use_cache=False)
+    with pytest.raises(InvalidParams):
+        list(connected_subsets(group, 4))
 
 
 def test_min_ratio_line_values():
