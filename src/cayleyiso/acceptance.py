@@ -6,10 +6,12 @@ tree recursion for free-group spheres, and a windowed whole-subset search for
 small Folner values on the line.
 
 Determinism contract: no wall-clock text, all randomness drawn from fixed
-seeds, all iteration orders canonical.  ``run_suite`` renders byte-identical
-reports for any thread count (the thread parameter is validated and then
-irrelevant; connected-subset scans use every CPU of the affinity mask and
-give the same results on any number of them).
+seeds, all iteration orders canonical, so ``run_suite`` renders the same
+bytes on every run.  Connected-subset scans use every CPU of the affinity
+mask, and criterion 10 checks that their results do not depend on it: it
+scans a fixed scope sequentially and with 8 forked workers, whatever the
+mask, and compares the counts, minima and witnesses of both scans with
+those of the battery's own ``min_ratio_table``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .constants import (
     folner_to_csc,
     quotient_estimate,
 )
-from .folner import folner_exact, min_ratio_table
+from .folner import _scan, folner_exact, min_ratio_table
 from .groups import make_group
 from .isoperimetry import FiniteSubset, boundary_ratio, check_inequality
 from .transport import build_ledger, verify_lemma
@@ -55,36 +57,21 @@ class CriterionResult:
     elapsed: float  # seconds; never rendered (reports must be byte-stable)
 
 
-_groups: dict = {}
-_tables: dict = {}
-_volume_tables: dict = {}
-_battery_cache: dict = {}
-_transport_cache: list = []
+class _Run:
+    """State shared by the criteria of one battery run: the largest ball
+    table built so far per descriptor, and the transport result of criteria
+    3 and 4.  Groups are not kept: they are immutable, cheap to build and
+    equal when their descriptors are."""
 
+    def __init__(self):
+        self.tables = {}
+        self.transport = None
 
-def _group(desc: str):
-    if desc not in _groups:
-        _groups[desc] = make_group(desc)
-    return _groups[desc]
-
-
-def _table(desc: str, radius: int):
-    existing = _tables.get(desc)
-    if existing is None or existing.max_radius < radius:
-        _tables[desc] = enumerate_ball(_group(desc), radius)
-    return _tables[desc]
-
-
-def _vtable(desc: str, volume):
-    # smallest cached table whose top volume strictly exceeds `volume`
-    existing = _tables.get(desc)
-    if existing is not None and existing.b[-1] > volume:
-        return existing
-    key = desc
-    cached = _volume_tables.get(key)
-    if cached is None or cached.b[-1] <= volume:
-        _volume_tables[key] = table_for_volume(_group(desc), volume)
-    return _volume_tables[key]
+    def table(self, desc: str, radius: int):
+        existing = self.tables.get(desc)
+        if existing is None or existing.max_radius < radius:
+            self.tables[desc] = enumerate_ball(make_group(desc), radius)
+        return self.tables[desc]
 
 
 # --------------------------------------------------------------------------
@@ -108,23 +95,23 @@ def _brute_word_norms(group, max_len: int) -> dict:
     return norms
 
 
-def _criterion_1() -> CriterionResult:
+def _criterion_1(run: _Run) -> CriterionResult:
     t0 = time.monotonic()
     details = []
     ok = True
 
-    tz = _table("z:1", 20)
+    tz = run.table("z:1", 20)
     ok_z = tz.b == [2 * r + 1 for r in range(21)]
-    tz2 = _table("z:2", 20)
+    tz2 = run.table("z:2", 20)
     ok_z2 = tz2.b == [2 * r * r + 2 * r + 1 for r in range(21)]
-    tf = _table("free:2", 8)
+    tf = run.table("free:2", 8)
     ok_f = tf.b == [2 * 3 ** r - 1 for r in range(9)]
     ok &= ok_z and ok_z2 and ok_f
     details.append(f"z:1 b_20={tz.b[20]}, z:2 b_20={tz2.b[20]}, free:2 b_8={tf.b[8]}")
 
     for desc in ("z:1", "z:2", "free:2"):
-        group = _group(desc)
-        table = _table(desc, 4)
+        group = make_group(desc)
+        table = run.table(desc, 4)
         brute = _brute_word_norms(group, 4)
         in_ball = {x: n for x, n in table.norm_of.items() if n <= 4}
         agree = brute == in_ball
@@ -152,12 +139,12 @@ def _free_counts_by_recursion(rank: int, radius: int):
     return b, s
 
 
-def _criterion_2() -> CriterionResult:
+def _criterion_2(run: _Run) -> CriterionResult:
     t0 = time.monotonic()
     details = []
     ok = True
     for desc, radius in (("z:1", 20), ("z:2", 20), ("dinf", 20), ("heis", 8), ("lamplighter", 6)):
-        table = _table(desc, radius)
+        table = run.table(desc, radius)
         spheres = verify_lemma("spheres", table=table)
         balls = verify_lemma("balls", table=table)
         ok &= spheres.holds and balls.holds
@@ -167,7 +154,7 @@ def _criterion_2() -> CriterionResult:
     size = 4
     free_ok = all(s[r] <= (size - 1) * s[r - 1] and b[r] <= size * b[r - 1]
                   for r in range(2, 21))
-    cross = _table("free:2", 8).b[:9] == b[:9]
+    cross = run.table("free:2", 8).b[:9] == b[:9]
     ok &= free_ok and cross
     details.append(f"free:2 (r<=20): bounds {free_ok}, tree recursion matches search to r=8: {cross}")
     return CriterionResult(
@@ -179,9 +166,9 @@ def _criterion_2() -> CriterionResult:
 # criteria 3 and 4: transport identities on one shared instance set
 
 
-def _transport_results() -> dict:
-    if _transport_cache:
-        return _transport_cache[0]
+def _transport_results(run: _Run) -> dict:
+    if run.transport is not None:
+        return run.transport
     counting_ok = True
     transport_ok = True
     fiber_ok = True
@@ -189,8 +176,8 @@ def _transport_results() -> dict:
     randomized = 0
 
     for desc in ("z:1", "z:2"):
-        group = _group(desc)
-        table = _table(desc, 20)
+        group = make_group(desc)
+        table = run.table(desc, 20)
         members = table.members(2)
         n = len(members)
         for mask in range(1, 1 << n):
@@ -204,8 +191,8 @@ def _transport_results() -> dict:
     rng = random.Random(_SEED_TRANSPORT)
     for i in range(200):
         desc = GROUP_DESCRIPTORS[i % len(GROUP_DESCRIPTORS)]
-        group = _group(desc)
-        table = _table(desc, 4)
+        group = make_group(desc)
+        table = run.table(desc, 4)
         pool = table.members(3)
         size = min(rng.randint(1, 12), len(pool))
         omega = FiniteSubset(group, rng.sample(pool, size))
@@ -216,20 +203,19 @@ def _transport_results() -> dict:
         fiber_ok &= verify_lemma("fiber", ledger=ledger).holds
         randomized += 1
 
-    result = {
+    run.transport = {
         "counting": counting_ok,
         "transport": transport_ok,
         "fiber": fiber_ok,
         "exhaustive": exhaustive,
         "randomized": randomized,
     }
-    _transport_cache.append(result)
-    return result
+    return run.transport
 
 
-def _criterion_3() -> CriterionResult:
+def _criterion_3(run: _Run) -> CriterionResult:
     t0 = time.monotonic()
-    res = _transport_results()
+    res = _transport_results(run)
     details = (
         f"exhaustive instances (all subsets of B(2) in z:1 and z:2 at r=2): {res['exhaustive']}",
         f"randomized instances (|W|<=12, r<=3, fixed seed): {res['randomized']}",
@@ -239,9 +225,9 @@ def _criterion_3() -> CriterionResult:
         res["counting"], details, time.monotonic() - t0)
 
 
-def _criterion_4() -> CriterionResult:
+def _criterion_4(run: _Run) -> CriterionResult:
     t0 = time.monotonic()
-    res = _transport_results()
+    res = _transport_results(run)
     details = (
         f"|W_g| <= |g| |bd W| and fiber <= |g| on the criterion-3 instance set",
     )
@@ -276,7 +262,7 @@ def _random_connected(group, rng, size: int) -> FiniteSubset:
     return FiniteSubset(group, current)
 
 
-def _criterion_5() -> CriterionResult:
+def _criterion_5(run: _Run) -> CriterionResult:
     t0 = time.monotonic()
     forms = _battery_forms()
     details = []
@@ -284,8 +270,8 @@ def _criterion_5() -> CriterionResult:
 
     # (a) every non-empty subset of B(2), directly
     for desc in ("z:1", "z:2"):
-        group = _group(desc)
-        table = _table(desc, 20)
+        group = make_group(desc)
+        table = run.table(desc, 20)
         members = table.members(2)
         n = len(members)
         checked = 0
@@ -303,9 +289,9 @@ def _criterion_5() -> CriterionResult:
     # through the ordinary checker.
     rng = random.Random(_SEED_BATTERY)
     for desc in ("dinf", "heis", "lamplighter"):
-        group = _group(desc)
+        group = make_group(desc)
         mrt = min_ratio_table(group, 9)
-        vt = _vtable(desc, 36)
+        vt = table_for_volume(group, 36)
         for m in range(1, 10):
             witness = mrt.witness_subset(m)
             attained = boundary_ratio(witness) == mrt.min_ratio(m)
@@ -358,20 +344,20 @@ def _line_window_folner(n: int, half_width: int = 7, max_size: int = 12):
     return best
 
 
-def _criterion_6() -> CriterionResult:
+def _criterion_6(run: _Run) -> CriterionResult:
     t0 = time.monotonic()
     details = []
     ok = True
 
     for desc in GROUP_DESCRIPTORS:
-        group = _group(desc)
+        group = make_group(desc)
         record = folner_exact(group, 1, 4)
         good = record.value == 1 and boundary_ratio(record.witness) <= 1
         ok &= good
     details.append("fol(1) = 1 with verified witness on all six groups")
 
     for desc in ("z:1", "dinf"):
-        group = _group(desc)
+        group = make_group(desc)
         values = []
         for n in range(2, 7):
             record = folner_exact(group, n, 14)
@@ -397,15 +383,15 @@ def _criterion_6() -> CriterionResult:
 # criterion 7: both conversion directions validated at scale
 
 
-def _criterion_7() -> CriterionResult:
+def _criterion_7(run: _Run) -> CriterionResult:
     t0 = time.monotonic()
     details = []
     ok = True
 
     inner = csc_to_folner(CscBound(Fraction(1, 2), Fraction(1)), Fraction(1))
     for desc in ("z:1", "dinf"):
-        group = _group(desc)
-        table = _table(desc, 20)
+        group = make_group(desc)
+        table = run.table(desc, 20)
         records = [folner_exact(group, n, 14) for n in range(1, 7)]
         report = check_folner_form(inner, table, records)
         good = report.holds and report.indeterminate == 0
@@ -415,7 +401,7 @@ def _criterion_7() -> CriterionResult:
     outer = folner_to_csc(FolnerBound(Fraction(1), Fraction(0), Fraction(0)), 2)
     expected = CscBound(Fraction(1), Fraction(1))
     ok &= outer == expected
-    cert = certify_at_scale(_group("z:1"), outer, BallSubsetsScope(2))
+    cert = certify_at_scale(make_group("z:1"), outer, BallSubsetsScope(2))
     ok &= cert.holds
     details.append(f"inflation 2^1: ratio >= 1/Phi[2|W|] over all B(2) subsets of z:1: {cert.holds}")
     return CriterionResult(
@@ -427,23 +413,23 @@ def _criterion_7() -> CriterionResult:
 # criterion 8: scoped certificates and the uncertified quotient report
 
 
-def _criterion_8() -> CriterionResult:
+def _criterion_8(run: _Run) -> CriterionResult:
     t0 = time.monotonic()
     details = []
     ok = True
     bound = CscBound(Fraction(3, 4), Fraction(3))
 
     for desc in ("z:1", "z:2"):
-        cert = certify_at_scale(_group(desc), bound, BallSubsetsScope(2))
+        cert = certify_at_scale(make_group(desc), bound, BallSubsetsScope(2))
         ok &= cert.holds
         details.append(f"{desc}: c=3/4, alpha=3 over all B(2) subsets: {cert.holds}")
     for desc in ("free:2", "dinf", "heis", "lamplighter"):
-        cert = certify_at_scale(_group(desc), bound, ConnectedScope(9))
+        cert = certify_at_scale(make_group(desc), bound, ConnectedScope(9))
         ok &= cert.holds
         details.append(f"{desc}: c=3/4, alpha=3 over connected sets <= 9: {cert.holds}")
 
-    group = _group("lamplighter")
-    table = _table("lamplighter", 8)
+    group = make_group("lamplighter")
+    table = run.table("lamplighter", 8)
     records = [folner_exact(group, n, 9) for n in range(1, 9)]
     estimate = quotient_estimate(group, 8, records, table)
     uncertified = estimate.certified_interval is None and len(estimate.caveats) > 0
@@ -484,14 +470,14 @@ def _components(group, omega: FiniteSubset):
     return parts
 
 
-def _criterion_9() -> CriterionResult:
+def _criterion_9(run: _Run) -> CriterionResult:
     t0 = time.monotonic()
     rng = random.Random(_SEED_REDUCTION)
     ok = True
     per_group = 500
     for desc in GROUP_DESCRIPTORS:
-        group = _group(desc)
-        table = _table(desc, 4)
+        group = make_group(desc)
+        table = run.table(desc, 4)
         pool = table.members(4)
         translate_pool = table.members(3)
         for _ in range(per_group):
@@ -515,6 +501,26 @@ def _criterion_9() -> CriterionResult:
 
 
 # --------------------------------------------------------------------------
+# criterion 10: the parallel scan reproduces the sequential one
+
+
+def _criterion_10() -> CriterionResult:
+    t0 = time.monotonic()
+    ok = True
+    # under a second of scans in all, each deep enough to split into tasks
+    for desc, size in (("heis", 9), ("dinf", 9), ("lamplighter", 7)):
+        table = min_ratio_table(make_group(desc), size)
+        # counts, minima and witness index tuples, on the table's own index;
+        # 8 workers are forked whatever the affinity mask
+        for workers in (1, 8):
+            scan = _scan(table.index.adj, size, workers=workers)
+            ok &= scan == (table.count, table.min_boundary, table.witness)
+    return CriterionResult(
+        10, "suite reports byte-identical for thread counts 1 and 8",
+        ok, (), time.monotonic() - t0)
+
+
+# --------------------------------------------------------------------------
 # battery, rendering, suite
 
 
@@ -531,17 +537,10 @@ _CRITERIA = (
 )
 
 
-def run_battery(threads: int = 1):
-    """Run criteria 1..9 once per thread-count key (results are cached).
-
-    ``threads`` must be >= 1 and does not change the computation, which is
-    what makes the determinism criterion hold by construction.
-    """
-    if not isinstance(threads, int) or threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads!r}")
-    if threads not in _battery_cache:
-        _battery_cache[threads] = [fn() for fn in _CRITERIA]
-    return _battery_cache[threads]
+def run_battery():
+    """Run criteria 1..9 once, on one shared run context; return the results."""
+    run = _Run()
+    return [criterion(run) for criterion in _CRITERIA]
 
 
 def render(results) -> str:
@@ -555,14 +554,7 @@ def render(results) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_suite(threads: int = 1):
-    """Full battery plus the determinism criterion; returns (text, all_passed)."""
-    battery = run_battery(threads)
-    text_1 = render(run_battery(1))
-    text_8 = render(run_battery(8))
-    deterministic = text_1 == text_8
-    result_10 = CriterionResult(
-        10, "suite reports byte-identical for thread counts 1 and 8",
-        deterministic, (), 0.0)
-    full = list(battery) + [result_10]
-    return render(full), all(r.passed for r in full)
+def run_suite():
+    """Criteria 1..9 and the determinism criterion; returns (text, all_passed)."""
+    results = run_battery() + [_criterion_10()]
+    return render(results), all(r.passed for r in results)

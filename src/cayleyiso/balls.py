@@ -137,6 +137,8 @@ def enumerate_ball(group: Group, radius: int, max_elements: int | None = None) -
     if not isinstance(radius, int) or radius < 0:
         raise RadiusOutOfRange(f"radius must be a non-negative integer, got {radius!r}")
     budget = DEFAULT_MAX_ELEMENTS if max_elements is None else max_elements
+    if budget < 1:
+        raise _budget_exceeded(group, budget, 0)
     e = group.identity
     elements = [e]
     norm_of = {e: 0}

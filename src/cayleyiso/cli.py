@@ -158,7 +158,6 @@ def build_parser() -> _Parser:
                    help="search cap for the Folner records")
 
     p = sub.add_parser("suite", help="run the full acceptance battery")
-    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--output", default="-")
 
     return parser
@@ -428,7 +427,7 @@ def _cmd_quotient(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    text, passed = acceptance.run_suite(threads=args.threads)
+    text, passed = acceptance.run_suite()
     _emit(args, text)
     return 0 if passed else 2
 

@@ -162,6 +162,8 @@ def adjacency_index(group: Group, max_size: int,
     if not isinstance(max_size, int) or max_size < 0:
         raise RadiusOutOfRange(f"max_size must be a non-negative integer, got {max_size!r}")
     budget = DEFAULT_MAX_ELEMENTS if max_elements is None else max_elements
+    if budget < 1:
+        raise _budget_exceeded(group, budget, 0)
     e = group.identity
     elements = [e]
     index = {e: 0}
@@ -569,26 +571,29 @@ class MinRatioTable:
 _scan_cache: dict = {}
 
 
-def min_ratio_table(group: Group, max_size: int, use_cache: bool = True,
+def min_ratio_table(group: Group, max_size: int,
                     max_elements: int | None = None) -> MinRatioTable:
-    """Exhaustively scan connected subsets up to ``max_size`` (cached).
+    """Exhaustively scan connected subsets up to ``max_size``.
 
     The ball B(max_size) is enumerated under the element budget
     ``max_elements`` (see :func:`enumerate_ball`) before the scan starts.
+
+    Tables are memoized for the life of the process by (descriptor,
+    generators, ``max_size``), the library's one memo: the Folner values and
+    the connected certificate of a group all read one scan.  A memoized
+    table larger than the budget fails as a fresh scan would.
     """
     if not isinstance(max_size, int) or max_size < 1:
         raise BadParams(f"max_size must be a positive integer, got {max_size!r}")
-    cache_key = (group.descriptor, max_size)
-    cached = _scan_cache.get(cache_key) if use_cache else None
+    cache_key = (group.descriptor, group.generators, max_size)
+    cached = _scan_cache.get(cache_key)
     budget = DEFAULT_MAX_ELEMENTS if max_elements is None else max_elements
     if cached is not None and len(cached.index.elements) <= budget:
         return cached
-    # over budget, a cached table fails as an uncached call would
     index = adjacency_index(group, max_size, max_elements)
     count, minb, witness = _scan(index.adj, max_size)
     result = MinRatioTable(group, max_size, minb, witness, count, index)
-    if use_cache:
-        _scan_cache[cache_key] = result
+    _scan_cache[cache_key] = result
     return result
 
 

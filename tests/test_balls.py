@@ -87,6 +87,10 @@ def test_memory_budget_exceeded():
         enumerate_ball(make_group("z:2"), 10, max_elements=50)
     # b_4 = 41 fits, b_5 = 61 does not
     assert info.value.last_completed_radius == 4
+    # not even B(0) fits in a budget of 0 elements
+    with pytest.raises(MemoryBudgetExceeded, match="at radius 0") as info:
+        enumerate_ball(make_group("z:2"), 0, max_elements=0)
+    assert info.value.last_completed_radius == -1
 
 
 def test_exhausted_finite_group():

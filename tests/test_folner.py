@@ -107,7 +107,7 @@ def test_connected_subsets_match_brute_force(desc, size):
                 if min_boundary[k + 1] is None or b < min_boundary[k + 1]:
                     min_boundary[k + 1] = b
     assert set(emitted) == brute
-    table = min_ratio_table(group, size, use_cache=False)
+    table = min_ratio_table(group, size)
     assert table.count == count
     assert table.min_boundary == min_boundary
 
@@ -142,11 +142,11 @@ def test_connected_counts_known_sequences():
     # fixed polyominoes (OEIS A001168); a rooted animal of n cells is one of
     # them with one of its n cells at the identity
     fixed_polyominoes = [1, 2, 6, 19, 63, 216, 760, 2725, 9910]
-    z2 = min_ratio_table(make_group("z:2"), 9, use_cache=False)
+    z2 = min_ratio_table(make_group("z:2"), 9)
     assert z2.count == [0] + [n * a for n, a in enumerate(fixed_polyominoes, 1)]
-    free = min_ratio_table(make_group("free:2"), 7, use_cache=False)
+    free = min_ratio_table(make_group("free:2"), 7)
     assert free.count == _free2_rooted_subtrees(7)
-    line = min_ratio_table(make_group("z:1"), 10, use_cache=False)
+    line = min_ratio_table(make_group("z:1"), 10)
     assert line.count == [0] + list(range(1, 11))
 
 
@@ -159,7 +159,7 @@ def test_min_ratio_witness_attains_minimum():
     for desc in BUILTIN_DESCRIPTORS:
         group = make_group(desc)
         size = sizes[desc]
-        table = min_ratio_table(group, size, use_cache=False)
+        table = min_ratio_table(group, size)
         # the witness is the first set in canonical order attaining the minimum
         first = {}
         for subset in connected_subsets(group, size):
@@ -268,7 +268,7 @@ def test_adjacency_index_matches_ball_and_checked_mul(desc):
                 assert row == tuple(position[group.mul(x, g)] for g in group.generators)
             else:
                 assert row is None
-        for budget in (1, table.b[k - 1], table.b[k] - 1):
+        for budget in (0, 1, table.b[k - 1], table.b[k] - 1):
             errors = []
             for build in (adjacency_index, enumerate_ball):
                 with pytest.raises(MemoryBudgetExceeded) as caught:
@@ -300,14 +300,16 @@ def test_adjacency_index_rejects_repeated_or_identity_generators(group_type):
     group = group_type()
     with pytest.raises(InvalidParams, match="repeat or include the identity"):
         adjacency_index(group, 4)
+    # the real line has the same descriptor; its memoized scan must not answer
+    min_ratio_table(make_group("z:1"), 4)
     with pytest.raises(InvalidParams):
-        min_ratio_table(group, 4, use_cache=False)
+        min_ratio_table(group, 4)
     with pytest.raises(InvalidParams):
         list(connected_subsets(group, 4))
 
 
 def test_min_ratio_line_values():
-    table = min_ratio_table(make_group("z:1"), 8, use_cache=False)
+    table = min_ratio_table(make_group("z:1"), 8)
     assert table.min_boundary[1] == 1
     for m in range(2, 9):
         assert table.min_boundary[m] == 2
