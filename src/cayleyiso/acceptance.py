@@ -511,10 +511,12 @@ def _criterion_10() -> CriterionResult:
     for desc, size in (("heis", 9), ("dinf", 9), ("lamplighter", 7)):
         table = min_ratio_table(make_group(desc), size)
         # counts, minima and witness index tuples, on the table's own index;
-        # 8 workers are forked whatever the affinity mask
+        # 8 workers are forked whatever the affinity mask, and a scan that
+        # forked none (as beside another thread) would check nothing
         for workers in (1, 8):
-            scan = _scan(table.index.adj, size, workers=workers)
-            ok &= scan == (table.count, table.min_boundary, table.witness)
+            *scan, processes = _scan(table.index.adj, size, workers=workers)
+            ok &= scan == [table.count, table.min_boundary, table.witness]
+            ok &= (processes > 1) == (workers > 1)
     return CriterionResult(
         10, "suite reports byte-identical for thread counts 1 and 8",
         ok, (), time.monotonic() - t0)

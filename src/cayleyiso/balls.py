@@ -6,7 +6,10 @@ s_r (sphere) and the sum of norms over each ball.  All counts are Python
 integers, hence arbitrary precision by construction.
 
 Frontier expansion follows generator-list order with a FIFO queue, so element
-discovery order (and everything derived from it) is reproducible.
+discovery order (and everything derived from it) is reproducible.  The search
+right-multiplies by the group's trusted steps and skips, for each element, the
+one product that leads back to its parent; :func:`enumerate_ball` proves that
+the skipped product is never new.
 """
 
 from __future__ import annotations
@@ -133,6 +136,13 @@ def enumerate_ball(group: Group, radius: int, max_elements: int | None = None) -
 
     Raises :class:`MemoryBudgetExceeded` (carrying the last completed radius)
     if the ball outgrows ``max_elements``.
+
+    Each frontier element x keeps the letter j by which it was first
+    reached, and the search skips the product of x by the inverse of g_j.
+    That product is never new: x = p * g_j for an element p of the previous
+    sphere, so x * g_j^-1 = p is already in the table.  Every product the
+    search forms is formed in the same order as without the skip, so the
+    discovery order, the norms and the counts are those of the full search.
     """
     if not isinstance(radius, int) or radius < 0:
         raise RadiusOutOfRange(f"radius must be a non-negative integer, got {radius!r}")
@@ -146,17 +156,29 @@ def enumerate_ball(group: Group, radius: int, max_elements: int | None = None) -
     s = [1]
     length_sum = [0]
     exhausted = False
-    frontier = [e]
-    mul = group._mul
     gens = group.generators
+    k = len(gens)
+    # moves[j]: the (letter, step) pairs tried from an element first reached
+    # by letter j, that is every generator but j's inverse; moves[k] has them
+    # all, for the identity
+    every = tuple(enumerate(group._right_steps()))
+    moves = []
+    for g in gens:
+        inverse = next((h for h, g2 in enumerate(gens) if group._mul(g, g2) == e), -1)
+        moves.append(tuple(move for move in every if move[0] != inverse))
+    moves.append(every)
+    frontier = [e]
+    letters = [k]
     for r in range(1, radius + 1):
         new_frontier = []
-        for x in frontier:
-            for g in gens:
-                y = mul(x, g)
+        new_letters = []
+        for x, j in zip(frontier, letters):
+            for h, step in moves[j]:
+                y = step(x)
                 if y not in norm_of:
                     norm_of[y] = r
                     new_frontier.append(y)
+                    new_letters.append(h)
                     if len(norm_of) > budget:
                         raise _budget_exceeded(group, budget, r)
         elements.extend(new_frontier)
@@ -164,6 +186,7 @@ def enumerate_ball(group: Group, radius: int, max_elements: int | None = None) -
         b.append(b[-1] + len(new_frontier))
         length_sum.append(length_sum[-1] + r * len(new_frontier))
         frontier = new_frontier
+        letters = new_letters
         if not new_frontier:
             exhausted = True
             for r2 in range(r + 1, radius + 1):
@@ -175,7 +198,7 @@ def enumerate_ball(group: Group, radius: int, max_elements: int | None = None) -
     # here means the BFS itself is broken
     assert all(b[r] == b[r - 1] + s[r] for r in range(1, radius + 1))
     for which in ("spheres", "balls"):
-        assert _degree_bound_violation(which, s, b, len(gens)) is None
+        assert _degree_bound_violation(which, s, b, k) is None
     return BallTable(group, radius, elements, norm_of, b, s, length_sum, exhausted)
 
 

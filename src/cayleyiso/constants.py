@@ -203,12 +203,12 @@ def _certify_ball_subsets(group, bound, scope, max_elements):
     # and the union is read from two tables indexed by the low and the high
     # half of the complement's bits (at most 2^10 entries each).
     index = {x: i for i, x in enumerate(members)}
-    mul = group._mul
+    steps = group._right_steps()
     edge = 0
     touch = [0] * n
     for i, x in enumerate(members):
-        for g in group.generators:
-            j = index.get(mul(x, g))
+        for step in steps:
+            j = index.get(step(x))
             if j is None:
                 edge |= 1 << i
             else:

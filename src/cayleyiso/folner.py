@@ -169,14 +169,13 @@ def adjacency_index(group: Group, max_size: int,
     index = {e: 0}
     adj = []
     b = [1]
-    mul = group._mul
-    gens = group.generators
+    steps = group._right_steps()
     start = 0
     for r in range(1, max_size + 1):
         for x in elements[start:]:
             row = []
-            for g in gens:
-                y = mul(x, g)
+            for step in steps:
+                y = step(x)
                 i = index.get(y)
                 if i is None:
                     i = index[y] = len(elements)
@@ -185,7 +184,7 @@ def adjacency_index(group: Group, max_size: int,
                         raise _budget_exceeded(group, budget, r)
                 row.append(i)
             adj.append(tuple(row))
-        if r == 1 and (0 in adj[0] or len(set(adj[0])) < len(gens)):
+        if r == 1 and (0 in adj[0] or len(set(adj[0])) < len(steps)):
             raise InvalidParams(
                 f"generators of {group.descriptor} repeat or include the identity")
         start = b[-1]
@@ -194,7 +193,7 @@ def adjacency_index(group: Group, max_size: int,
     # the degree bounds are theorems; a violation means the BFS is broken
     s = [1] + [b[r] - b[r - 1] for r in range(1, max_size + 1)]
     for which in ("spheres", "balls"):
-        assert _degree_bound_violation(which, s, b, len(gens)) is None
+        assert _degree_bound_violation(which, s, b, len(steps)) is None
     return AdjacencyIndex(group, max_size, elements, tuple(adj))
 
 
@@ -226,12 +225,13 @@ def _size_floor(adj, size):
 def _scan(adj, max_size, buckets=None, workers=None):
     """Run the canonical enumeration up to ``max_size`` and tally it by size.
 
-    Returns ``(count, min_boundary, witness)``: per size, the number of
-    connected sets containing vertex 0, their least inner-boundary count
-    (None where there are no sets) and the member tuple of the first set in
-    canonical order attaining it.  If ``buckets`` is given (``max_size + 1``
-    lists), every set is also appended to ``buckets[size]`` as a tuple of
-    vertex indices, in canonical order.
+    Returns ``(count, min_boundary, witness, processes)``: per size, the
+    number of connected sets containing vertex 0, their least
+    inner-boundary count (None where there are no sets) and the member tuple
+    of the first set in canonical order attaining it; then the number of
+    processes the scan ran in, this one included.  If ``buckets`` is given
+    (``max_size + 1`` lists), every set is also appended to
+    ``buckets[size]`` as a tuple of vertex indices, in canonical order.
 
     Sets of the top two sizes are handled in the loop of the node two levels
     above them: counted by arithmetic, and examined only when one of them
@@ -250,18 +250,19 @@ def _scan(adj, max_size, buckets=None, workers=None):
     tasks = []
     run = _enumerator(adj, max_size, buckets, split, tasks)
     count, best, witness = run((), [0], 0, 0, [max_size + 1] * (max_size + 1))
+    processes = 1
     if tasks:
-        workers = min(workers, len(tasks))
-        shares = _run_shares(run, tasks, workers, max_size)
+        processes = min(workers, len(tasks))
+        shares = _run_shares(run, tasks, processes, max_size)
         for t in range(len(tasks)):
-            t_count, t_best, t_witness = shares[t % workers][t // workers]
+            t_count, t_best, t_witness = shares[t % processes][t // processes]
             for m in range(split + 1, max_size + 1):
                 count[m] += t_count[m]
                 if t_best[m] < best[m]:
                     best[m] = t_best[m]
                     witness[m] = t_witness[m]
     min_boundary = [b if c else None for b, c in zip(best, count)]
-    return count, min_boundary, witness
+    return count, min_boundary, witness, processes
 
 
 def _enumerator(adj, max_size, buckets=None, split=0, tasks=None):
@@ -591,7 +592,7 @@ def min_ratio_table(group: Group, max_size: int,
     if cached is not None and len(cached.index.elements) <= budget:
         return cached
     index = adjacency_index(group, max_size, max_elements)
-    count, minb, witness = _scan(index.adj, max_size)
+    count, minb, witness, _ = _scan(index.adj, max_size)
     result = MinRatioTable(group, max_size, minb, witness, count, index)
     _scan_cache[cache_key] = result
     return result

@@ -46,6 +46,14 @@ class Group(ABC):
     path: they skip validation and are called only on payloads that come
     from a ball table or a validated :class:`FiniteSubset`, or on products
     of such payloads.
+
+    :meth:`_right_steps` is the trusted path for right multiplication by a
+    generator, the product every breadth-first search and boundary loop
+    forms: one callable ``x -> x * g`` per generator, each equal to
+    ``lambda x: self._mul(x, g)``.  The steps are built from
+    :attr:`generators` on every call, so a subclass that replaces the
+    generating set gets matching steps, and a subclass that defines only
+    :meth:`_mul` gets working ones.
     """
 
     #: descriptor string, parseable by :func:`make_group`
@@ -76,6 +84,20 @@ class Group(ABC):
     @abstractmethod
     def parse_element(self, text: str):
         """Inverse of :meth:`format_element`."""
+
+    def _right_steps(self) -> tuple:
+        """One callable ``x -> x * g`` per generator g, in generator order.
+
+        Trusted path, like :meth:`_mul`.  Nothing is stored: callers build
+        the steps once per search.
+        """
+        return tuple(self._right_step(g) for g in self.generators)
+
+    def _right_step(self, g):
+        """Callable ``x -> x * g``.  Subclasses return a faster equal form for
+        the generator shapes they know and defer to this one for any other."""
+        mul = self._mul
+        return lambda x: mul(x, g)
 
     def mul(self, a, b):
         """Product ``a * b`` in canonical form."""
@@ -129,6 +151,14 @@ class ZPowerD(Group):
 
     def _mul(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
+
+    def _right_step(self, g):
+        moved = [i for i, c in enumerate(g) if c]
+        if len(moved) != 1:
+            return super()._right_step(g)
+        i = moved[0]
+        c = g[i]
+        return lambda x: (*x[:i], x[i] + c, *x[i + 1:])
 
     def _inv(self, a):
         return tuple(-x for x in a)
@@ -187,6 +217,12 @@ class FreeGroup(Group):
                 out.append(letter)
         return tuple(out)
 
+    def _right_step(self, g):
+        if len(g) != 1:
+            return super()._right_step(g)
+        undo = -g[0]
+        return lambda x: x[:-1] if x and x[-1] == undo else x + g
+
     def _inv(self, a):
         return tuple(-letter for letter in reversed(a))
 
@@ -235,6 +271,10 @@ class DihedralInfinite(Group):
         m, f = b
         return (n + (m if e == 0 else -m), (e + f) & 1)
 
+    def _right_step(self, g):
+        m, f = g
+        return lambda x: (x[0] - m if x[1] else x[0] + m, x[1] ^ f)
+
     def _inv(self, a):
         n, e = a
         return (-n if e == 0 else n, e)
@@ -275,6 +315,14 @@ class Heisenberg(Group):
         a, b, c = x
         a2, b2, c2 = y
         return (a + a2, b + b2, c + c2 + a * b2)
+
+    def _right_step(self, g):
+        a, b, c = g
+        if b == 0 and c == 0:
+            return lambda x: (x[0] + a, x[1], x[2])
+        if a == 0 and c == 0:
+            return lambda x: (x[0], x[1] + b, x[2] + x[0] * b)
+        return lambda x: (x[0] + a, x[1] + b, x[2] + c + x[0] * b)
 
     def _inv(self, x):
         a, b, c = x
@@ -347,6 +395,19 @@ class LamplighterZ2(Group):
             shifted = frozenset(x + p for x in lamps2)
             lamps = lamps ^ shifted
         return (p + q, lamps)
+
+    def _right_step(self, g):
+        # frozenset ^ set is a frozenset
+        q, lamps = g
+        if not lamps:
+            return lambda x: (x[0] + q, x[1])
+        if len(lamps) == 1:
+            (a,) = lamps
+            return lambda x: (x[0] + q, x[1] ^ {x[0] + a})
+        if len(lamps) == 2:
+            a, b = lamps
+            return lambda x: (x[0] + q, x[1] ^ {x[0] + a, x[0] + b})
+        return lambda x: (x[0] + q, x[1] ^ {x[0] + a for a in lamps})
 
     def _inv(self, a):
         p, lamps = a

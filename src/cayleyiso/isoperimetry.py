@@ -102,11 +102,10 @@ class FiniteSubset:
 
     def boundary_set(self) -> frozenset:
         if self._boundary is None:
-            mul = self.group._mul
             inside = self.elements
-            gens = self.group.generators
+            steps = self.group._right_steps()
             self._boundary = frozenset(
-                x for x in inside if any(mul(x, s) not in inside for s in gens)
+                x for x in inside if any(step(x) not in inside for step in steps)
             )
         return self._boundary
 

@@ -165,23 +165,23 @@ def build_ledger(omega: FiniteSubset, table: BallTable, r: int,
     group = omega.group
     if table.group != group:
         raise MalformedElement("subset and ball table belong to different groups")
-    mul = group._mul
     inside = omega.elements
     boundary = omega.boundary_set()
     norm_of = table.norm_of
     ball = table.members(r)
 
-    # steps[j - 1] = (parent index, generator) of ball[j]: its first reaching
-    # pair in discovery order, which is the order of ball itself
-    steps = []
+    # tree[j - 1] = (parent index, step by generator) of ball[j]: its first
+    # reaching pair in discovery order, which is the order of ball itself
+    tree = []
     reached = set()
+    steps = group._right_steps()
     for i, y in enumerate(ball[: table.b[r - 1]]):
         n = norm_of[y] + 1
-        for s in group.generators:
-            z = mul(y, s)
+        for step in steps:
+            z = step(y)
             if z not in reached and norm_of.get(z) == n:
                 reached.add(z)
-                steps.append((i, s))
+                tree.append((i, step))
 
     exits = [[] for _ in ball]
     rays = {}
@@ -190,8 +190,8 @@ def build_ledger(omega: FiniteSubset, table: BallTable, r: int,
         points = [x]
         first_exit = [x if x in boundary else None]
         out = []
-        for j, (i, s) in enumerate(steps, 1):
-            y = mul(points[i], s)
+        for j, (i, step) in enumerate(tree, 1):
+            y = step(points[i])
             points.append(y)
             b = first_exit[i]
             if b is None and y in boundary:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cayleyiso.errors import MalformedElement
-from cayleyiso.groups import Group, make_group
+from cayleyiso.groups import Group, ZPowerD, make_group
 
 BUILTIN_DESCRIPTORS = ("z:1", "z:2", "free:2", "dinf", "heis", "lamplighter")
 
@@ -46,6 +46,42 @@ class CyclicStub(Group):
         value = int(text)
         self.check_element(value)
         return value
+
+
+class _DoubledLine(ZPowerD):
+    """The line Z with each generator listed twice."""
+
+    def __init__(self):
+        super().__init__(1)
+        self.generators = self.generators * 2
+
+
+class _LoopedLine(ZPowerD):
+    """The line Z with the identity among its generators."""
+
+    def __init__(self):
+        super().__init__(1)
+        self.generators = self.generators + (self.identity,)
+
+
+class _OneWayCycle(CyclicStub):
+    """Z/7 generated by 1 and 2 alone: no generator has an inverse in the set."""
+
+    def __init__(self):
+        super().__init__(7)
+        self.generators = (1, 2)
+
+
+#: factories of the groups every trusted kernel is checked on, by test id:
+#: the built-ins, two larger ranks, and stubs with odd generating sets
+KERNEL_GROUPS = {
+    **{desc: lambda desc=desc: make_group(desc)
+       for desc in BUILTIN_DESCRIPTORS + ("z:3", "free:3")},
+    "doubled-line": _DoubledLine,
+    "looped-line": _LoopedLine,
+    "cyclic-stub": lambda: CyclicStub(5),
+    "one-way-cycle": _OneWayCycle,
+}
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """Acceptance battery: every criterion runs at its stated tolerance and
 prints one PASS/FAIL line (run pytest with -s to see them live)."""
 
+import threading
 from pathlib import Path
 
 import pytest
@@ -81,7 +82,8 @@ def test_criterion_10_suite_determinism(suite):
     assert line == f"[10] PASS {CRITERION_10}"
 
 
-def test_criterion_10_fails_when_a_worker_share_is_lost(monkeypatch):
+def _lose_last_share(monkeypatch):
+    """Make every forked scan lose its last worker's share."""
     run_shares = folner._run_shares
 
     def lossy(run, tasks, workers, max_size):
@@ -95,7 +97,27 @@ def test_criterion_10_fails_when_a_worker_share_is_lost(monkeypatch):
     monkeypatch.setattr(folner, "_run_shares", lossy)
     # tables scanned under the fault must not outlive this test
     monkeypatch.setattr(folner, "_scan_cache", {})
+
+
+def test_criterion_10_fails_when_a_worker_share_is_lost(monkeypatch):
+    _lose_last_share(monkeypatch)
     text = acceptance.render([acceptance._criterion_10()])
+    assert f"[10] FAIL {CRITERION_10}\n" in text
+
+
+def test_criterion_10_fails_beside_another_thread(monkeypatch):
+    # the scan does not fork beside another thread, so the lossy shares are
+    # never used; the criterion must still fail, as it compared nothing
+    _lose_last_share(monkeypatch)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        text = acceptance.render([acceptance._criterion_10()])
+    finally:
+        release.set()
+        other.join(60)
+    assert not other.is_alive()
     assert f"[10] FAIL {CRITERION_10}\n" in text
 
 

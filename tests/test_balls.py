@@ -21,7 +21,7 @@ from cayleyiso.errors import (
 )
 from cayleyiso.groups import make_group
 
-from conftest import BUILTIN_DESCRIPTORS, CyclicStub
+from conftest import BUILTIN_DESCRIPTORS, KERNEL_GROUPS, CyclicStub
 
 
 # ------------------------------------------------------------ enumerate_ball
@@ -72,6 +72,38 @@ def test_bfs_norm_equals_brute_force_word_norm(desc):
             if x not in brute:
                 brute[x] = length
     assert brute == t.norm_of
+
+
+def _oracle_ball(group, radius):
+    """Breadth-first search by the checked ``mul``, forming every product:
+    (elements, norm_of, b, s, length_sum)."""
+    elements = [group.identity]
+    norm_of = {group.identity: 0}
+    frontier = [group.identity]
+    for r in range(1, radius + 1):
+        sphere = []
+        for x in frontier:
+            for g in group.generators:
+                y = group.mul(x, g)
+                if y not in norm_of:
+                    norm_of[y] = r
+                    sphere.append(y)
+        elements += sphere
+        frontier = sphere
+    b = [sum(1 for n in norm_of.values() if n <= r) for r in range(radius + 1)]
+    s = [b[0]] + [b[r] - b[r - 1] for r in range(1, radius + 1)]
+    length_sum = [sum(n for n in norm_of.values() if n <= r) for r in range(radius + 1)]
+    return elements, norm_of, b, s, length_sum
+
+
+@pytest.mark.parametrize("name", KERNEL_GROUPS)
+def test_ball_matches_oracle_without_skip(name):
+    # the search skips the product back to each element's parent; an
+    # oracle forming every product must find the same table
+    group = KERNEL_GROUPS[name]()
+    for radius in (0, 1, 2, 5):
+        t = enumerate_ball(group, radius)
+        assert (t.elements, t.norm_of, t.b, t.s, t.length_sum) == _oracle_ball(group, radius)
 
 
 @pytest.mark.parametrize("desc", BUILTIN_DESCRIPTORS)

@@ -14,16 +14,17 @@ from cayleyiso.folner import (
     LowerBound,
     _enumerator,
     _scan,
+    _workers,
     adjacency_index,
     connected_subsets,
     folner_exact,
     folner_family_upper,
     min_ratio_table,
 )
-from cayleyiso.groups import ZPowerD, make_group
+from cayleyiso.groups import make_group
 from cayleyiso.isoperimetry import FiniteSubset, boundary_ratio
 
-from conftest import BUILTIN_DESCRIPTORS
+from conftest import BUILTIN_DESCRIPTORS, _DoubledLine, _LoopedLine
 
 
 # ------------------------------------------------------- connected_subsets
@@ -201,7 +202,7 @@ def test_scan_matches_grown_sets(desc, size):
     ]
     index = adjacency_index(group, size)
     for workers in (1, 2, 3):
-        got_count, got_min, witness = _scan(index.adj, size, workers=workers)
+        got_count, got_min, witness, _ = _scan(index.adj, size, workers=workers)
         assert got_count == count
         assert got_min == min_boundary
         for m in range(1, size + 1):
@@ -245,7 +246,7 @@ def test_scan_on_circulants_matches_grown_sets():
                     for level in levels[1:]
                 ]
                 for workers in (1, 2):
-                    got_count, got_min, _ = _scan(adj, size, workers=workers)
+                    got_count, got_min, _, _ = _scan(adj, size, workers=workers)
                     assert (got_count, got_min) == (count, min_boundary), (n, steps)
                 if min_boundary[size] is not None:
                     run = _enumerator(adj, size)
@@ -275,22 +276,6 @@ def test_adjacency_index_matches_ball_and_checked_mul(desc):
                     build(group, k, max_elements=budget)
                 errors.append((str(caught.value), caught.value.last_completed_radius))
             assert errors[0] == errors[1]
-
-
-class _DoubledLine(ZPowerD):
-    """The line Z with each generator listed twice."""
-
-    def __init__(self):
-        super().__init__(1)
-        self.generators = self.generators * 2
-
-
-class _LoopedLine(ZPowerD):
-    """The line Z with the identity among its generators."""
-
-    def __init__(self):
-        super().__init__(1)
-        self.generators = self.generators + (self.identity,)
 
 
 @pytest.mark.parametrize("group_type", [_DoubledLine, _LoopedLine])
@@ -326,12 +311,15 @@ PARALLEL_SIZES = {"z:1": 9, "z:2": 7, "dinf": 9, "free:2": 6, "heis": 7, "lampli
 def test_parallel_scan_equals_sequential(desc):
     size = PARALLEL_SIZES[desc]
     adj = adjacency_index(make_group(desc), size).adj
-    sequential = _scan(adj, size, workers=1)
+    *sequential, processes = _scan(adj, size, workers=1)
+    assert processes == 1
     # one task per set of size 3; 100 workers is more than any group has
-    assert sequential[0][3] < 100
-    for workers in (2, 3, 100):
-        assert _scan(adj, size, workers=workers) == sequential
-    assert _scan(adj, size) == sequential
+    tasks = sequential[0][3]
+    assert tasks < 100
+    for workers in (2, 3, 100, None):
+        *parallel, processes = _scan(adj, size, workers=workers)
+        assert parallel == sequential
+        assert processes == min(workers or _workers(), tasks)
 
 
 class _FailsInChild(tuple):

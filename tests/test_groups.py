@@ -15,7 +15,7 @@ from cayleyiso.groups import (
     validate_generators,
 )
 
-from conftest import BUILTIN_DESCRIPTORS, MALFORMED_PAYLOADS, random_element
+from conftest import BUILTIN_DESCRIPTORS, KERNEL_GROUPS, MALFORMED_PAYLOADS, random_element
 
 
 # ---------------------------------------------------------------- make_group
@@ -261,6 +261,22 @@ def test_parse_element_rejects_garbage():
             make_group(desc).parse_element(bad)
 
 
+# arbitrary text rarely looks like an element, so half the examples use only
+# the characters of element forms
+@pytest.mark.parametrize("desc", BUILTIN_DESCRIPTORS)
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.text(), st.text(alphabet="-0123456789,;e ", max_size=12)))
+def test_parse_element_on_arbitrary_text(desc, text):
+    # any text is rejected or parses to a canonical payload that round-trips
+    g = make_group(desc)
+    try:
+        a = g.parse_element(text)
+    except MalformedElement:
+        return
+    g.check_element(a)
+    assert g.parse_element(g.format_element(a)) == a
+
+
 # ------------------------------------------------------- validate_generators
 
 @pytest.mark.parametrize("desc", BUILTIN_DESCRIPTORS)
@@ -362,6 +378,28 @@ def test_heisenberg_words_match_matrices(w1, w2):
 
     p, q = from_word(w1), from_word(w2)
     assert _heis_matrix(g.mul(p, q)) == _matmul3(_heis_matrix(p), _heis_matrix(q))
+
+
+# --------------------------------------------------------------- right steps
+
+@pytest.mark.parametrize("name", KERNEL_GROUPS)
+def test_right_steps_equal_mul(name):
+    group = KERNEL_GROUPS[name]()
+    rng = random.Random(31)
+    steps = group._right_steps()
+    assert len(steps) == len(group.generators)
+    xs = [random_element(group, rng) for _ in range(200)]
+    for step, g in zip(steps, group.generators):
+        for x in xs:
+            y = step(x)
+            group.check_element(y)
+            assert y == group._mul(x, g)
+    # every other shape a subclass could list: short products, the identity
+    for x in xs:
+        g = random_element(group, rng, max_len=3)
+        y = group._right_step(g)(x)
+        group.check_element(y)
+        assert y == group._mul(x, g)
 
 
 def test_identity_neutral_everywhere(groups):
