@@ -194,9 +194,7 @@ def enumerate_ball(group: Group, radius: int, max_elements: int | None = None) -
                 b.append(b[-1])
                 length_sum.append(length_sum[-1])
             break
-    # b_r = b_{r-1} + s_r and the degree bounds are theorems; a violation
-    # here means the BFS itself is broken
-    assert all(b[r] == b[r - 1] + s[r] for r in range(1, radius + 1))
+    # the degree bounds are theorems; a violation here means the BFS is broken
     for which in ("spheres", "balls"):
         assert _degree_bound_violation(which, s, b, k) is None
     return BallTable(group, radius, elements, norm_of, b, s, length_sum, exhausted)

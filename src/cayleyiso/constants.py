@@ -24,14 +24,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .balls import INFINITE, BallTable, enumerate_ball, growth_rate_upper, phi, table_for_volume
+from .balls import INFINITE, BallTable, growth_rate_upper, phi, table_for_volume
 from .errors import (
     BadParams,
     EmptyGeneratingSet,
     InsufficientData,
     NotApplicable,
+    RadiusOutOfRange,
 )
-from .folner import LowerBound, min_ratio_table
+from .folner import LowerBound, adjacency_index, min_ratio_table
 from .groups import Group
 from .isoperimetry import FiniteSubset, _as_fraction
 
@@ -187,9 +188,13 @@ def certify_at_scale(group: Group, bound: CscBound, scope,
 
 
 def _certify_ball_subsets(group, bound, scope, max_elements):
-    base = enumerate_ball(group, scope.radius + 1, max_elements=max_elements)
-    members = base.members(scope.radius)
-    n = len(members)
+    if not isinstance(scope.radius, int) or scope.radius < 0:
+        raise RadiusOutOfRange(f"radius must be a non-negative integer, got {scope.radius!r}")
+    # B(radius) leads the elements of B(radius + 1), and only its vertices have rows
+    index = adjacency_index(group, scope.radius + 1, max_elements)
+    rows = [row for row in index.adj if row is not None]
+    n = len(rows)
+    members = index.elements[:n]
     if n > _MAX_SUBSET_SCOPE_BITS:
         raise BadParams(
             f"B({scope.radius}) has {n} elements; 2^{n} subsets is beyond the "
@@ -202,14 +207,11 @@ def _certify_ball_subsets(group, bound, scope, max_elements):
     #     mask & (edge | OR of touch[j] over j not in mask),
     # and the union is read from two tables indexed by the low and the high
     # half of the complement's bits (at most 2^10 entries each).
-    index = {x: i for i, x in enumerate(members)}
-    steps = group._right_steps()
     edge = 0
     touch = [0] * n
-    for i, x in enumerate(members):
-        for step in steps:
-            j = index.get(step(x))
-            if j is None:
+    for i, row in enumerate(rows):
+        for j in row:
+            if j >= n:
                 edge |= 1 << i
             else:
                 touch[j] |= 1 << i

@@ -66,8 +66,7 @@ add step without its writes, a strict improvement at size k-1 is recorded,
 and the child is materialized and its leaves scanned only when its leaf
 bound, raised to the leaf floor of S, is below the leaf minimum.  Counts,
 minima and first achievers stay those of the full scan by the argument
-above.  When ``connected_subsets`` collects every set, each set is
-materialized.
+above.
 
 Parallel scan, after Mertens and Lautenbacher ("Counting lattice animals: a
 parallel attack", J. Stat. Phys. 66, 1992).  Split: the caller's process
@@ -139,8 +138,6 @@ class AdjacencyIndex:
     containing the identity stays inside B(k-1).
     """
 
-    group: Group
-    max_size: int
     elements: list
     adj: tuple
 
@@ -194,7 +191,7 @@ def adjacency_index(group: Group, max_size: int,
     s = [1] + [b[r] - b[r - 1] for r in range(1, max_size + 1)]
     for which in ("spheres", "balls"):
         assert _degree_bound_violation(which, s, b, len(steps)) is None
-    return AdjacencyIndex(group, max_size, elements, tuple(adj))
+    return AdjacencyIndex(elements, tuple(adj))
 
 
 # canonical-tree depth at which a parallel scan hands subtrees to workers
@@ -222,33 +219,31 @@ def _size_floor(adj, size):
     return 0
 
 
-def _scan(adj, max_size, buckets=None, workers=None):
+def _scan(adj, max_size, workers=None):
     """Run the canonical enumeration up to ``max_size`` and tally it by size.
 
     Returns ``(count, min_boundary, witness, processes)``: per size, the
     number of connected sets containing vertex 0, their least
     inner-boundary count (None where there are no sets) and the member tuple
     of the first set in canonical order attaining it; then the number of
-    processes the scan ran in, this one included.  If ``buckets`` is given
-    (``max_size + 1`` lists), every set is also appended to
-    ``buckets[size]`` as a tuple of vertex indices, in canonical order.
+    processes the scan ran in, this one included.
 
     Sets of the top two sizes are handled in the loop of the node two levels
     above them: counted by arithmetic, and examined only when one of them
     could set a new minimum.  With more than one worker (default: the CPUs
     of the affinity mask) the tree is split into subtrees that run in forked
     processes, with the same result (see the module docstring).  The scan
-    stays in this process when collecting buckets, when ``max_size`` is
-    below 5, or when the process runs other threads.
+    stays in this process when ``max_size`` is below 5 or when the process
+    runs other threads.
     """
     if workers is None:
         workers = _workers()
     # fork only from a single-threaded process: a forked child gets no copy
     # of the other threads, but may inherit locks they held
-    parallel = workers > 1 and buckets is None and threading.active_count() == 1
+    parallel = workers > 1 and threading.active_count() == 1
     split = _SPLIT_SIZE if parallel and max_size >= _SPLIT_SIZE + 2 else 0
     tasks = []
-    run = _enumerator(adj, max_size, buckets, split, tasks)
+    run = _enumerator(adj, max_size, split, tasks)
     count, best, witness = run((), [0], 0, 0, [max_size + 1] * (max_size + 1))
     processes = 1
     if tasks:
@@ -265,7 +260,7 @@ def _scan(adj, max_size, buckets=None, workers=None):
     return count, min_boundary, witness, processes
 
 
-def _enumerator(adj, max_size, buckets=None, split=0, tasks=None):
+def _enumerator(adj, max_size, split=0, tasks=None):
     """Return ``run(prefix, cands, bcount, ones, least)``.
 
     ``run`` enumerates the subtree of the canonical tree below the node whose
@@ -289,15 +284,13 @@ def _enumerator(adj, max_size, buckets=None, split=0, tasks=None):
     count = [0] * (max_size + 1)
     best = [max_size + 1] * (max_size + 1)  # above any boundary count
     witness = [None] * (max_size + 1)
-    collect = buckets is not None
     deg = len(adj[0])
-    # nodes of this size count their two lower levels (-1: none)
-    pair_size = -1 if collect else max_size - 2
+    # nodes of this size count their two lower levels
+    pair_size = max_size - 2
     outside = 1 if leaf_parent < deg else 0
     child_outside = 1 if pair_size < deg else 0
-    if not collect:
-        child_size_floor = _size_floor(adj, leaf_parent)
-        leaf_size_floor = _size_floor(adj, max_size)
+    child_size_floor = _size_floor(adj, leaf_parent)
+    leaf_size_floor = _size_floor(adj, max_size)
 
     def rec(cands, size, bcount, ones):
         # ``ones`` is the number of members with exactly one outside neighbor
@@ -332,16 +325,7 @@ def _enumerator(adj, max_size, buckets=None, split=0, tasks=None):
             if bc < best[nsize]:
                 best[nsize] = bc
                 witness[nsize] = tuple(members)
-            if collect:
-                buckets[nsize].append(tuple(members))
-            if nsize == leaf_parent:
-                leaves = [u for u in av if not occupied[u]] + cands[i + 1:]
-                count[max_size] += len(leaves)
-                # reached only where the floors do not hold, so no floor
-                scan_leaves(leaves, bc, -1)
-                if collect:
-                    buckets[max_size].extend([(*members, w) for w in leaves])
-            elif nsize < leaf_parent:
+            if nsize < leaf_parent:
                 new = [u for u in av if not occupied[u]]
                 for u in new:
                     occupied[u] = 1
@@ -600,16 +584,37 @@ def min_ratio_table(group: Group, max_size: int,
 
 def connected_subsets(group: Group, max_size: int):
     """Yield every connected subset containing e of size <= max_size, exactly
-    once, in increasing cardinality (canonical order within each size)."""
+    once, in increasing cardinality (canonical order within each size).
+
+    A plain recursion over the rows of :func:`adjacency_index`, in the
+    enumeration scheme of the module docstring with no floors and no
+    counting: the reference the scan's counts and witnesses are tested
+    against.
+    """
     if not isinstance(max_size, int) or max_size < 1:
         raise BadParams(f"max_size must be a positive integer, got {max_size!r}")
     index = adjacency_index(group, max_size)
-    elements = index.elements
+    adj = index.adj
+    occupied = {0}
+    members = []
     buckets = [[] for _ in range(max_size + 1)]
-    _scan(index.adj, max_size, buckets)
+
+    def grow(cands):
+        # add each candidate in turn; the ones before it stay out of its branch
+        for i, v in enumerate(cands):
+            members.append(v)
+            buckets[len(members)].append(tuple(members))
+            if len(members) < max_size:
+                new = [u for u in adj[v] if u not in occupied]
+                occupied.update(new)
+                grow(new + cands[i + 1:])
+                occupied.difference_update(new)
+            members.pop()
+
+    grow([0])
     for bucket in buckets:
         for ids in bucket:
-            yield FiniteSubset(group, [elements[i] for i in ids])
+            yield FiniteSubset(group, [index.elements[i] for i in ids])
 
 
 @dataclass(frozen=True)

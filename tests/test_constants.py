@@ -20,12 +20,13 @@ from cayleyiso.errors import (
     EmptyGeneratingSet,
     InsufficientData,
     NotApplicable,
+    RadiusOutOfRange,
 )
 from cayleyiso.folner import folner_exact
 from cayleyiso.groups import make_group
 from cayleyiso.isoperimetry import FiniteSubset
 
-from conftest import CyclicStub
+from conftest import KERNEL_GROUPS, CyclicStub
 
 
 # -------------------------------------------------------------- conversions
@@ -103,9 +104,11 @@ def _brute_force_ball_subsets(group, bound, radius):
 
 
 @pytest.mark.parametrize("desc,radius", [
-    ("z:1", 2), ("z:2", 1), ("dinf", 3), ("heis", 1), ("free:2", 1)])
+    ("z:1", 2), ("z:2", 1), ("dinf", 3), ("heis", 1), ("free:2", 1),
+    # an exhausted ball: every vertex of B(radius + 1) has a row
+    ("cyclic-stub", 2)])
 def test_certify_ball_subsets_matches_brute_force(desc, radius):
-    group = make_group(desc)
+    group = KERNEL_GROUPS[desc]()
     holding = CscBound(Fraction(1, 4), Fraction(1))
     failing = CscBound(Fraction(3, 2), Fraction(1, 2))
     for bound, expected in ((holding, True), (failing, False)):
@@ -128,6 +131,10 @@ def test_certify_scope_guard():
     with pytest.raises(BadParams):
         certify_at_scale(make_group("lamplighter"), CscBound(Fraction(1), Fraction(1)),
                          BallSubsetsScope(2))  # 2^30 subsets
+    for radius in (-1, 1.5):
+        with pytest.raises(RadiusOutOfRange):
+            certify_at_scale(make_group("z:1"), CscBound(Fraction(1), Fraction(1)),
+                             BallSubsetsScope(radius))
 
 
 def test_certificate_json_shape():

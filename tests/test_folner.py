@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from cayleyiso.balls import INFINITE, enumerate_ball
+from cayleyiso.constants import BallSubsetsScope, CscBound, certify_at_scale
 from cayleyiso.errors import BadParams, InvalidParams, MemoryBudgetExceeded, NoFamilyForKind
 from cayleyiso.folner import (
     LowerBound,
@@ -152,10 +153,11 @@ def test_connected_counts_known_sequences():
 
 
 def test_min_ratio_witness_attains_minimum():
-    # every built-in group, each against the bucket path of connected_subsets,
-    # which materializes every set; on lamplighter nearly every leaf parent
-    # is counted only, on z:2 and heis at size 7 leaf parents are peeked and
-    # skipped as well as materialized
+    # every built-in group, each against connected_subsets, a plain
+    # enumerator that shares no code with the scan's kernel and yields every
+    # set; on lamplighter nearly every leaf parent is counted only, on z:2
+    # and heis at size 7 leaf parents are peeked and skipped as well as
+    # materialized
     sizes = {"z:1": 6, "z:2": 7, "dinf": 6, "free:2": 5, "heis": 7, "lamplighter": 6}
     for desc in BUILTIN_DESCRIPTORS:
         group = make_group(desc)
@@ -163,10 +165,13 @@ def test_min_ratio_witness_attains_minimum():
         table = min_ratio_table(group, size)
         # the witness is the first set in canonical order attaining the minimum
         first = {}
+        count = [0] * (size + 1)
         for subset in connected_subsets(group, size):
             m = len(subset)
+            count[m] += 1
             if m not in first and len(subset.boundary_set()) == table.min_boundary[m]:
                 first[m] = subset.elements
+        assert table.count == count
         for m in range(1, size + 1):
             witness = table.witness_subset(m)
             assert len(witness) == m
@@ -291,6 +296,8 @@ def test_adjacency_index_rejects_repeated_or_identity_generators(group_type):
         min_ratio_table(group, 4)
     with pytest.raises(InvalidParams):
         list(connected_subsets(group, 4))
+    with pytest.raises(InvalidParams):
+        certify_at_scale(group, CscBound(Fraction(1, 4), Fraction(1)), BallSubsetsScope(1))
 
 
 def test_min_ratio_line_values():
