@@ -18,6 +18,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import BadParams, HorizonExceeded, MemoryBudgetExceeded, RadiusOutOfRange
 from .groups import Group
@@ -144,18 +145,11 @@ def enumerate_ball(group: Group, radius: int, max_elements: int | None = None) -
     search forms is formed in the same order as without the skip, so the
     discovery order, the norms and the counts are those of the full search.
     """
-    if not isinstance(radius, int) or radius < 0:
-        raise RadiusOutOfRange(f"radius must be a non-negative integer, got {radius!r}")
-    budget = DEFAULT_MAX_ELEMENTS if max_elements is None else max_elements
-    if budget < 1:
-        raise _budget_exceeded(group, budget, 0)
+    budget = _search_budget(group, radius, max_elements)
     e = group.identity
     elements = [e]
     norm_of = {e: 0}
     b = [1]
-    s = [1]
-    length_sum = [0]
-    exhausted = False
     gens = group.generators
     k = len(gens)
     # moves[j]: the (letter, step) pairs tried from an element first reached
@@ -181,23 +175,29 @@ def enumerate_ball(group: Group, radius: int, max_elements: int | None = None) -
                     new_letters.append(h)
                     if len(norm_of) > budget:
                         raise _budget_exceeded(group, budget, r)
+        if not new_frontier:
+            break
         elements.extend(new_frontier)
-        s.append(len(new_frontier))
-        b.append(b[-1] + len(new_frontier))
-        length_sum.append(length_sum[-1] + r * len(new_frontier))
+        b.append(len(elements))
         frontier = new_frontier
         letters = new_letters
-        if not new_frontier:
-            exhausted = True
-            for r2 in range(r + 1, radius + 1):
-                s.append(0)
-                b.append(b[-1])
-                length_sum.append(length_sum[-1])
-            break
-    # the degree bounds are theorems; a violation here means the BFS is broken
-    for which in ("spheres", "balls"):
-        assert _degree_bound_violation(which, s, b, k) is None
+    # b is short of radius + 1 entries only when a sphere came out empty
+    exhausted = len(b) <= radius
+    b.extend([len(elements)] * (radius + 1 - len(b)))
+    s = _checked_sphere_counts(b, k)
+    length_sum = list(accumulate(r * count for r, count in enumerate(s)))
     return BallTable(group, radius, elements, norm_of, b, s, length_sum, exhausted)
+
+
+def _search_budget(group: Group, radius, max_elements) -> int:
+    """Preamble of every ball search: check the radius, resolve the element
+    budget (None for the default) and fail at radius 0 below 1 element."""
+    if not isinstance(radius, int) or radius < 0:
+        raise RadiusOutOfRange(f"radius must be a non-negative integer, got {radius!r}")
+    budget = DEFAULT_MAX_ELEMENTS if max_elements is None else max_elements
+    if budget < 1:
+        raise _budget_exceeded(group, budget, 0)
+    return budget
 
 
 def _budget_exceeded(group: Group, budget: int, r: int) -> MemoryBudgetExceeded:
@@ -206,6 +206,16 @@ def _budget_exceeded(group: Group, budget: int, r: int) -> MemoryBudgetExceeded:
         f"ball of {group.descriptor} exceeded {budget} elements at radius {r}",
         last_completed_radius=r - 1,
     )
+
+
+def _checked_sphere_counts(b: list, k: int) -> list:
+    """Sphere counts of the ball counts ``b`` of a search with k generators,
+    after asserting both degree bounds: theorems, so a violation means the
+    search is broken."""
+    s = [1] + [b[r] - b[r - 1] for r in range(1, len(b))]
+    for which in ("spheres", "balls"):
+        assert _degree_bound_violation(which, s, b, k) is None
+    return s
 
 
 def _degree_bound_violation(which: str, s: list, b: list, k: int):

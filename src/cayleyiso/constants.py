@@ -21,17 +21,11 @@ and an always-empty certified interval, with explicit caveats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from .balls import INFINITE, BallTable, growth_rate_upper, phi, table_for_volume
-from .errors import (
-    BadParams,
-    EmptyGeneratingSet,
-    InsufficientData,
-    NotApplicable,
-    RadiusOutOfRange,
-)
+from .balls import INFINITE, BallTable, _search_budget, growth_rate_upper, phi, table_for_volume
+from .errors import BadParams, EmptyGeneratingSet, InsufficientData, NotApplicable
 from .folner import LowerBound, adjacency_index, min_ratio_table
 from .groups import Group
 from .isoperimetry import FiniteSubset, _as_fraction
@@ -52,41 +46,47 @@ __all__ = [
 ]
 
 
+class _Bound:
+    """Parameters checked when the bound is built: every field becomes an
+    exact rational (ints convert, anything else raises BadParams), and alpha
+    must be >= 0."""
+
+    def __post_init__(self):
+        for field in fields(self):
+            value = _as_fraction(getattr(self, field.name), field.name)
+            object.__setattr__(self, field.name, value)
+        if self.alpha < 0:
+            raise BadParams(f"alpha must be >= 0, got {self.alpha}")
+
+    def params_dict(self):
+        return {field.name: str(getattr(self, field.name)) for field in fields(self)}
+
+
 @dataclass(frozen=True)
-class CscBound:
+class CscBound(_Bound):
     """Outer-constant shape: ratio >= c / Phi[(1+alpha)|W|] for all W."""
 
     c: Fraction
     alpha: Fraction
 
-    def params_dict(self):
-        return {"c": str(self.c), "alpha": str(self.alpha)}
-
 
 @dataclass(frozen=True)
-class FolnerBound:
+class FolnerBound(_Bound):
     """Inner-constant shape: folner(n) >= |B(c n - rho)| / (1+alpha) for all n."""
 
     c: Fraction
     alpha: Fraction
     rho: Fraction
 
-    def params_dict(self):
-        return {"c": str(self.c), "alpha": str(self.alpha), "rho": str(self.rho)}
-
 
 def csc_to_folner(bound: CscBound, rho) -> FolnerBound:
     """Outer-to-inner direction: same (c, alpha), any strictly positive rho."""
-    c = _as_fraction(bound.c, "c")
-    alpha = _as_fraction(bound.alpha, "alpha")
-    rho = _as_fraction(rho, "rho")
-    if c <= 0:
-        raise BadParams(f"conversion requires c > 0, got {c}")
-    if alpha < 0:
-        raise BadParams(f"alpha must be >= 0, got {alpha}")
-    if rho <= 0:
-        raise BadParams(f"conversion requires rho > 0, got {rho}")
-    return FolnerBound(c, alpha, rho)
+    inner = FolnerBound(bound.c, bound.alpha, rho)
+    if inner.c <= 0:
+        raise BadParams(f"conversion requires c > 0, got {inner.c}")
+    if inner.rho <= 0:
+        raise BadParams(f"conversion requires rho > 0, got {inner.rho}")
+    return inner
 
 
 def folner_to_csc(bound: FolnerBound, generating_set_size: int) -> CscBound:
@@ -95,20 +95,17 @@ def folner_to_csc(bound: FolnerBound, generating_set_size: int) -> CscBound:
     The returned shape keeps c and absorbs the inflation into the effective
     alpha, so its Phi argument is |S|^ceil(rho+c) (1+alpha) |W|.
     """
-    c = _as_fraction(bound.c, "c")
-    alpha = _as_fraction(bound.alpha, "alpha")
-    rho = _as_fraction(bound.rho, "rho")
-    if c <= 0:
-        raise BadParams(f"conversion requires c > 0, got {c}")
-    if alpha < 0 or rho < 0:
-        raise BadParams("alpha and rho must be >= 0")
+    if bound.c <= 0:
+        raise BadParams(f"conversion requires c > 0, got {bound.c}")
+    if bound.rho < 0:
+        raise BadParams(f"rho must be >= 0, got {bound.rho}")
     if not isinstance(generating_set_size, int) or generating_set_size < 1:
         raise EmptyGeneratingSet(
             f"conversion needs a non-empty generating set, got size {generating_set_size!r}"
         )
-    exponent = math.ceil(rho + c)
-    inflation = Fraction(generating_set_size) ** exponent * (1 + alpha)
-    return CscBound(c, inflation - 1)
+    exponent = math.ceil(bound.rho + bound.c)
+    inflation = Fraction(generating_set_size) ** exponent * (1 + bound.alpha)
+    return CscBound(bound.c, inflation - 1)
 
 
 @dataclass(frozen=True)
@@ -177,9 +174,8 @@ def _rhs_by_size(group: Group, bound: CscBound, max_size: int, max_elements=None
 def certify_at_scale(group: Group, bound: CscBound, scope,
                      max_elements: int | None = None) -> Certificate:
     """Check the outer-shape bound over every set in the scope, exactly."""
-    bound = CscBound(_as_fraction(bound.c, "c"), _as_fraction(bound.alpha, "alpha"))
-    if bound.c < 0 or bound.alpha < 0:
-        raise BadParams("c and alpha must be >= 0")
+    if bound.c < 0:
+        raise BadParams(f"c must be >= 0, got {bound.c}")
     if isinstance(scope, BallSubsetsScope):
         return _certify_ball_subsets(group, bound, scope, max_elements)
     if isinstance(scope, ConnectedScope):
@@ -188,10 +184,9 @@ def certify_at_scale(group: Group, bound: CscBound, scope,
 
 
 def _certify_ball_subsets(group, bound, scope, max_elements):
-    if not isinstance(scope.radius, int) or scope.radius < 0:
-        raise RadiusOutOfRange(f"radius must be a non-negative integer, got {scope.radius!r}")
+    budget = _search_budget(group, scope.radius, max_elements)
     # B(radius) leads the elements of B(radius + 1), and only its vertices have rows
-    index = adjacency_index(group, scope.radius + 1, max_elements)
+    index = adjacency_index(group, scope.radius + 1, budget)
     rows = [row for row in index.adj if row is not None]
     n = len(rows)
     members = index.elements[:n]
@@ -309,7 +304,7 @@ def check_folner_form(bound: FolnerBound, table: BallTable, records) -> FolnerFo
     indeterminate = 0
     for record in sorted(records, key=lambda rec: rec.n):
         radius = bound.c * record.n - bound.rho
-        rhs = Fraction(table.volume_at(radius), 1) / (1 + bound.alpha)
+        rhs = table.volume_at(radius) / (1 + bound.alpha)
         value = record.value
         if value is INFINITE:
             status = "holds"

@@ -98,8 +98,8 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .balls import DEFAULT_MAX_ELEMENTS, INFINITE, _budget_exceeded, _degree_bound_violation
-from .errors import BadParams, InvalidParams, NoFamilyForKind, RadiusOutOfRange
+from .balls import INFINITE, _budget_exceeded, _checked_sphere_counts, _search_budget
+from .errors import BadParams, InvalidParams, NoFamilyForKind
 from .groups import DihedralInfinite, Group, LamplighterZ2, ZPowerD
 from .isoperimetry import FiniteSubset
 
@@ -149,18 +149,14 @@ def adjacency_index(group: Group, max_size: int,
     The search visits frontiers and generators in the order of
     :func:`enumerate_ball` and records a vertex's row when it expands the
     vertex, so every product x*g is formed once.  It raises the same
-    :class:`MemoryBudgetExceeded` as :func:`enumerate_ball` under the
-    element budget ``max_elements``, and :class:`InvalidParams` when the
-    identity's row repeats an index or contains the identity: the
-    generators then repeat or include the identity.  In a Cayley graph
-    x*g == x*h only for g == h, so a row that is clean at the identity is
-    clean at every vertex.
+    :class:`RadiusOutOfRange` and :class:`MemoryBudgetExceeded` as
+    :func:`enumerate_ball` under the element budget ``max_elements``, and
+    :class:`InvalidParams` when the identity's row repeats an index or
+    contains the identity: the generators then repeat or include the
+    identity.  In a Cayley graph x*g == x*h only for g == h, so a row that
+    is clean at the identity is clean at every vertex.
     """
-    if not isinstance(max_size, int) or max_size < 0:
-        raise RadiusOutOfRange(f"max_size must be a non-negative integer, got {max_size!r}")
-    budget = DEFAULT_MAX_ELEMENTS if max_elements is None else max_elements
-    if budget < 1:
-        raise _budget_exceeded(group, budget, 0)
+    budget = _search_budget(group, max_size, max_elements)
     e = group.identity
     elements = [e]
     index = {e: 0}
@@ -187,10 +183,7 @@ def adjacency_index(group: Group, max_size: int,
         start = b[-1]
         b.append(len(elements))
     adj.extend([None] * (len(elements) - len(adj)))
-    # the degree bounds are theorems; a violation means the BFS is broken
-    s = [1] + [b[r] - b[r - 1] for r in range(1, max_size + 1)]
-    for which in ("spheres", "balls"):
-        assert _degree_bound_violation(which, s, b, len(steps)) is None
+    _checked_sphere_counts(b, len(steps))
     return AdjacencyIndex(elements, tuple(adj))
 
 
@@ -570,12 +563,12 @@ def min_ratio_table(group: Group, max_size: int,
     """
     if not isinstance(max_size, int) or max_size < 1:
         raise BadParams(f"max_size must be a positive integer, got {max_size!r}")
+    budget = _search_budget(group, max_size, max_elements)
     cache_key = (group.descriptor, group.generators, max_size)
     cached = _scan_cache.get(cache_key)
-    budget = DEFAULT_MAX_ELEMENTS if max_elements is None else max_elements
     if cached is not None and len(cached.index.elements) <= budget:
         return cached
-    index = adjacency_index(group, max_size, max_elements)
+    index = adjacency_index(group, max_size, budget)
     count, minb, witness, _ = _scan(index.adj, max_size)
     result = MinRatioTable(group, max_size, minb, witness, count, index)
     _scan_cache[cache_key] = result

@@ -52,7 +52,7 @@ from .errors import (
     MalformedElement,
     PreconditionUnmet,
 )
-from .isoperimetry import FiniteSubset
+from .isoperimetry import FiniteSubset, _as_fraction
 
 __all__ = [
     "GeodesicWord",
@@ -263,7 +263,7 @@ def verify_lemma(which: str, table: BallTable | None = None,
         return _verify_fiber(ledger)
     if alpha is None:
         raise BadParams(f"lemma {which!r} needs alpha")
-    alpha = Fraction(alpha)
+    alpha = _as_fraction(alpha, "alpha")
     if alpha < 0:
         raise BadParams(f"alpha must be >= 0, got {alpha}")
     if which == "ray-lower":

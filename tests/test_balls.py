@@ -19,6 +19,7 @@ from cayleyiso.errors import (
     MemoryBudgetExceeded,
     RadiusOutOfRange,
 )
+from cayleyiso.folner import adjacency_index
 from cayleyiso.groups import make_group
 
 from conftest import BUILTIN_DESCRIPTORS, KERNEL_GROUPS, CyclicStub
@@ -133,8 +134,11 @@ def test_exhausted_finite_group():
 
 
 def test_bad_radius():
-    with pytest.raises(RadiusOutOfRange):
-        enumerate_ball(make_group("z:1"), -1)
+    # both ball searches share one preamble
+    for search in (enumerate_ball, adjacency_index):
+        for radius in (-1, 1.5):
+            with pytest.raises(RadiusOutOfRange):
+                search(make_group("z:1"), radius)
 
 
 # ------------------------------------------------------------------- phi

@@ -197,6 +197,25 @@ def test_check_folner_form_exact_rows_on_line():
         (5, Fraction(3, 2)),
         (6, Fraction(5, 2)),
     ]
+    # integer parameters become exact rationals when the bound is built
+    report = check_folner_form(FolnerBound(1, 0, 1), table, records)
+    assert all(type(rhs) is Fraction for (_, _, rhs, _) in report.rows)
+    assert [rhs for (_, _, rhs, _) in report.rows] == [3, 5, 7, 9, 11]
+
+
+def test_check_folner_form_bounds_checked_when_built():
+    z = make_group("z:1")
+    table = enumerate_ball(z, 20)
+    records = [folner_exact(z, n, 14) for n in range(2, 7)]
+    # a float field would make the right-hand sides floats, a negative
+    # alpha makes them negative, and alpha = -1 divides by zero
+    for args in ((0.5, 1.0, 1.0), (1, 0, 0.5), (1, -3, 0), (1, -1, 0), (1, "1", 0)):
+        with pytest.raises(BadParams):
+            check_folner_form(FolnerBound(*args), table, records)
+    for args in ((0.5, 1), (1, 1.0), (1, -1), (1, Fraction(-1, 2))):
+        with pytest.raises(BadParams):
+            CscBound(*args)
+    assert FolnerBound(1, 0, 0) == FolnerBound(Fraction(1), Fraction(0), Fraction(0))
 
 
 def test_check_folner_form_statuses():

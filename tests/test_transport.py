@@ -23,7 +23,7 @@ from cayleyiso.transport import (
     verify_lemma,
 )
 
-from conftest import BUILTIN_DESCRIPTORS
+from conftest import BUILTIN_DESCRIPTORS, KERNEL_GROUPS
 
 
 def z_subset(group, values):
@@ -190,9 +190,9 @@ def _ledger_by_definition(group, table, omega, r):
     return omega_g, rays, dict(fibers)
 
 
-@pytest.mark.parametrize("desc", BUILTIN_DESCRIPTORS)
+@pytest.mark.parametrize("desc", KERNEL_GROUPS)
 def test_ledger_matches_definitions(desc):
-    group = make_group(desc)
+    group = KERNEL_GROUPS[desc]()
     t = enumerate_ball(group, 2)
     pool = t.members(2)
     rng = random.Random(17)
@@ -278,6 +278,16 @@ def test_lemma_conclude():
     wrong_radius = build_ledger(omega, t, 2)
     with pytest.raises(PreconditionUnmet):
         verify_lemma("conclude", ledger=wrong_radius, alpha=1)
+
+
+def test_lemma_alpha_must_be_exact():
+    z = make_group("z:1")
+    ledger = build_ledger(z_subset(z, [0, 1, 2]), enumerate_ball(z, 6), 3)
+    for which in ("ray-lower", "conclude"):
+        assert verify_lemma(which, ledger=ledger, alpha=Fraction(1)).holds
+        for alpha in (0.5, "1/2", -1):
+            with pytest.raises(BadParams):
+                verify_lemma(which, ledger=ledger, alpha=alpha)
 
 
 def test_lemma_transport_and_fiber_random(groups):
