@@ -95,8 +95,7 @@ def _brute_word_norms(group, max_len: int) -> dict:
     return norms
 
 
-def _criterion_1(run: _Run) -> CriterionResult:
-    t0 = time.monotonic()
+def _growth_exact(run: _Run):
     details = []
     ok = True
 
@@ -118,9 +117,7 @@ def _criterion_1(run: _Run) -> CriterionResult:
         ok &= agree
         details.append(f"{desc}: brute-force words to length 4 {'match' if agree else 'DIFFER'} "
                        f"({len(brute)} elements)")
-    return CriterionResult(
-        1, "growth counts match closed forms (z:1, z:2, free:2; words brute-forced to r=4)",
-        ok, tuple(details), time.monotonic() - t0)
+    return ok, details
 
 
 # --------------------------------------------------------------------------
@@ -139,8 +136,7 @@ def _free_counts_by_recursion(rank: int, radius: int):
     return b, s
 
 
-def _criterion_2(run: _Run) -> CriterionResult:
-    t0 = time.monotonic()
+def _growth_bounds(run: _Run):
     details = []
     ok = True
     for desc, radius in (("z:1", 20), ("z:2", 20), ("dinf", 20), ("heis", 8), ("lamplighter", 6)):
@@ -157,9 +153,7 @@ def _criterion_2(run: _Run) -> CriterionResult:
     cross = run.table("free:2", 8).b[:9] == b[:9]
     ok &= free_ok and cross
     details.append(f"free:2 (r<=20): bounds {free_ok}, tree recursion matches search to r=8: {cross}")
-    return CriterionResult(
-        2, "sphere and ball growth bounds hold on all five built-in kinds",
-        ok, tuple(details), time.monotonic() - t0)
+    return ok, details
 
 
 # --------------------------------------------------------------------------
@@ -213,27 +207,19 @@ def _transport_results(run: _Run) -> dict:
     return run.transport
 
 
-def _criterion_3(run: _Run) -> CriterionResult:
-    t0 = time.monotonic()
+def _counting(run: _Run):
     res = _transport_results(run)
     details = (
         f"exhaustive instances (all subsets of B(2) in z:1 and z:2 at r=2): {res['exhaustive']}",
         f"randomized instances (|W|<=12, r<=3, fixed seed): {res['randomized']}",
     )
-    return CriterionResult(
-        3, "ray and translate countings agree exactly on every instance",
-        res["counting"], details, time.monotonic() - t0)
+    return res["counting"], details
 
 
-def _criterion_4(run: _Run) -> CriterionResult:
-    t0 = time.monotonic()
+def _transport_bounds(run: _Run):
     res = _transport_results(run)
-    details = (
-        f"|W_g| <= |g| |bd W| and fiber <= |g| on the criterion-3 instance set",
-    )
-    return CriterionResult(
-        4, "translate-set and exit-fiber bounds hold on the same instances",
-        res["transport"] and res["fiber"], details, time.monotonic() - t0)
+    return res["transport"] and res["fiber"], (
+        "|W_g| <= |g| |bd W| and fiber <= |g| on the criterion-3 instance set",)
 
 
 # --------------------------------------------------------------------------
@@ -262,8 +248,7 @@ def _random_connected(group, rng, size: int) -> FiniteSubset:
     return FiniteSubset(group, current)
 
 
-def _criterion_5(run: _Run) -> CriterionResult:
-    t0 = time.monotonic()
+def _inequalities(run: _Run):
     forms = _battery_forms()
     details = []
     ok = True
@@ -307,9 +292,7 @@ def _criterion_5(run: _Run) -> CriterionResult:
         total = sum(mrt.count[1:])
         details.append(f"{desc}: {total} connected sets reduced to 9 per-size minima, "
                        f"{sampled} sampled sets checked directly")
-    return CriterionResult(
-        5, "isoperimetric inequality battery holds on exhaustive and connected scopes",
-        ok, tuple(details), time.monotonic() - t0)
+    return ok, details
 
 
 # --------------------------------------------------------------------------
@@ -344,8 +327,7 @@ def _line_window_folner(n: int, half_width: int = 7, max_size: int = 12):
     return best
 
 
-def _criterion_6(run: _Run) -> CriterionResult:
-    t0 = time.monotonic()
+def _folner_values(run: _Run):
     details = []
     ok = True
 
@@ -374,17 +356,14 @@ def _criterion_6(run: _Run) -> CriterionResult:
     oracle_ok = all(v == 2 * n for n, v in oracle)
     ok &= oracle_ok
     details.append(f"windowed whole-subset oracle on the line agrees: {oracle}")
-    return CriterionResult(
-        6, "Folner values exact: fol(1)=1 everywhere, fol(n)=2n on z:1 and dinf for n=2..6",
-        ok, tuple(details), time.monotonic() - t0)
+    return ok, details
 
 
 # --------------------------------------------------------------------------
 # criterion 7: both conversion directions validated at scale
 
 
-def _criterion_7(run: _Run) -> CriterionResult:
-    t0 = time.monotonic()
+def _conversions(run: _Run):
     details = []
     ok = True
 
@@ -404,17 +383,14 @@ def _criterion_7(run: _Run) -> CriterionResult:
     cert = certify_at_scale(make_group("z:1"), outer, BallSubsetsScope(2))
     ok &= cert.holds
     details.append(f"inflation 2^1: ratio >= 1/Phi[2|W|] over all B(2) subsets of z:1: {cert.holds}")
-    return CriterionResult(
-        7, "bound conversions validated in both directions at scale",
-        ok, tuple(details), time.monotonic() - t0)
+    return ok, details
 
 
 # --------------------------------------------------------------------------
 # criterion 8: scoped certificates and the uncertified quotient report
 
 
-def _criterion_8(run: _Run) -> CriterionResult:
-    t0 = time.monotonic()
+def _certificates(run: _Run):
     details = []
     ok = True
     bound = CscBound(Fraction(3, 4), Fraction(3))
@@ -442,9 +418,7 @@ def _criterion_8(run: _Run) -> CriterionResult:
         f"[{estimate.numerator_lower:.4f}, {upper}] / "
         f"{estimate.denominator_upper:.4f}, nothing certified: {uncertified}"
     )
-    return CriterionResult(
-        8, "scoped certificates pass at c=3/4, alpha=3; quotient report stays uncertified",
-        ok, tuple(details), time.monotonic() - t0)
+    return ok, details
 
 
 # --------------------------------------------------------------------------
@@ -470,8 +444,7 @@ def _components(group, omega: FiniteSubset):
     return parts
 
 
-def _criterion_9(run: _Run) -> CriterionResult:
-    t0 = time.monotonic()
+def _reduction(run: _Run):
     rng = random.Random(_SEED_REDUCTION)
     ok = True
     per_group = 500
@@ -494,18 +467,14 @@ def _criterion_9(run: _Run) -> CriterionResult:
             ok &= boundary_ratio(shifted) == ratio
             expected = frozenset(group.mul(g, x) for x in omega.boundary_set())
             ok &= shifted.boundary_set() == expected
-    details = (f"{per_group} random component/translation checks per group, fixed seed",)
-    return CriterionResult(
-        9, "connected-search reduction is sound (components and translations)",
-        ok, details, time.monotonic() - t0)
+    return ok, (f"{per_group} random component/translation checks per group, fixed seed",)
 
 
 # --------------------------------------------------------------------------
 # criterion 10: the parallel scan reproduces the sequential one
 
 
-def _criterion_10() -> CriterionResult:
-    t0 = time.monotonic()
+def _scans_agree():
     ok = True
     # under a second of scans in all, each deep enough to split into tasks
     for desc, size in (("heis", 9), ("dinf", 9), ("lamplighter", 7)):
@@ -517,32 +486,48 @@ def _criterion_10() -> CriterionResult:
             *scan, processes = _scan(table.index.adj, size, workers=workers)
             ok &= scan == [table.count, table.min_boundary, table.witness]
             ok &= (processes > 1) == (workers > 1)
-    return CriterionResult(
-        10, "suite reports byte-identical for thread counts 1 and 8",
-        ok, (), time.monotonic() - t0)
+    return ok, ()
 
 
 # --------------------------------------------------------------------------
 # battery, rendering, suite
 
 
+#: index, name and check of each criterion; a check returns (passed, details)
 _CRITERIA = (
-    _criterion_1,
-    _criterion_2,
-    _criterion_3,
-    _criterion_4,
-    _criterion_5,
-    _criterion_6,
-    _criterion_7,
-    _criterion_8,
-    _criterion_9,
+    (1, "growth counts match closed forms (z:1, z:2, free:2; words brute-forced to r=4)",
+     _growth_exact),
+    (2, "sphere and ball growth bounds hold on all five built-in kinds", _growth_bounds),
+    (3, "ray and translate countings agree exactly on every instance", _counting),
+    (4, "translate-set and exit-fiber bounds hold on the same instances", _transport_bounds),
+    (5, "isoperimetric inequality battery holds on exhaustive and connected scopes",
+     _inequalities),
+    (6, "Folner values exact: fol(1)=1 everywhere, fol(n)=2n on z:1 and dinf for n=2..6",
+     _folner_values),
+    (7, "bound conversions validated in both directions at scale", _conversions),
+    (8, "scoped certificates pass at c=3/4, alpha=3; quotient report stays uncertified",
+     _certificates),
+    (9, "connected-search reduction is sound (components and translations)", _reduction),
+    (10, "suite reports byte-identical for thread counts 1 and 8", _scans_agree),
 )
+
+
+def _run_criterion(index: int, name: str, check, *args) -> CriterionResult:
+    """Run one check and time it."""
+    t0 = time.monotonic()
+    passed, details = check(*args)
+    return CriterionResult(index, name, passed, tuple(details), time.monotonic() - t0)
 
 
 def run_battery():
     """Run criteria 1..9 once, on one shared run context; return the results."""
     run = _Run()
-    return [criterion(run) for criterion in _CRITERIA]
+    return [_run_criterion(*criterion, run) for criterion in _CRITERIA[:9]]
+
+
+def _criterion_10() -> CriterionResult:
+    """The determinism criterion, which needs no run context."""
+    return _run_criterion(*_CRITERIA[9])
 
 
 def render(results) -> str:

@@ -2,7 +2,8 @@
 
 Subcommands mirror the library: ``growth``, ``phi``, ``avg-length``,
 ``boundary``, ``check``, ``transport``, ``folner``, ``convert``, ``certify``,
-``quotient`` and ``suite``.  Every rational parameter is parsed exactly from
+``quotient`` and ``suite``.  ``convert`` and ``quotient`` print JSON only
+and take no ``--format``.  Every rational parameter is parsed exactly from
 ``p/q`` or integer syntax.  Exit codes: 0 on success (and on every check that
 holds), 2 when a mathematical check is falsified (the witness is printed),
 1 on usage or resource errors.
@@ -25,14 +26,7 @@ import sys
 from fractions import Fraction
 
 from . import acceptance
-from .balls import (
-    DEFAULT_MAX_ELEMENTS,
-    INFINITE,
-    average_length,
-    enumerate_ball,
-    phi,
-    table_for_volume,
-)
+from .balls import INFINITE, average_length, enumerate_ball, phi, table_for_volume
 from .constants import (
     BallSubsetsScope,
     ConnectedScope,
@@ -83,9 +77,10 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="cayleyiso", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, omega=False):
+    def common(p, omega=False, formats=True):
         p.add_argument("--group", required=True, help="z:<d>, free:<rank>, dinf, heis, lamplighter")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if formats:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", default="-", help="output path, '-' for stdout")
         p.add_argument("--memory-budget", type=_positive_int, default=None,
                        help="max enumerated elements (default from environment)")
@@ -142,7 +137,6 @@ def build_parser() -> _Parser:
     p.add_argument("--rho", type=_rational, default=None)
     p.add_argument("--s-size", type=_positive_int, default=None)
     p.add_argument("--output", default="-")
-    p.add_argument("--format", choices=("csv", "json"), default="json")
 
     p = sub.add_parser("certify", help="check an outer bound over an exhaustive scope")
     common(p)
@@ -152,7 +146,7 @@ def build_parser() -> _Parser:
                    help="'b2' (all subsets of B(2)) or 'connected:<k>'")
 
     p = sub.add_parser("quotient", help="window statistics for the optimal-constant quotient")
-    common(p)
+    common(p, formats=False)
     p.add_argument("--horizon", type=_positive_int, required=True)
     p.add_argument("--cap", type=_positive_int, default=9,
                    help="search cap for the Folner records")
@@ -163,8 +157,10 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _budget(args) -> int:
-    if getattr(args, "memory_budget", None):
+def _budget(args) -> int | None:
+    """The element budget of the flag, else of the environment, else None
+    for the library default."""
+    if args.memory_budget is not None:
         return args.memory_budget
     env = os.environ.get(ENV_BUDGET)
     if env:
@@ -175,7 +171,7 @@ def _budget(args) -> int:
         if value < 1:
             raise CayleyIsoError(f"{ENV_BUDGET} must be >= 1, got {value}")
         return value
-    return DEFAULT_MAX_ELEMENTS
+    return None
 
 
 def _emit(args, text: str):

@@ -28,7 +28,7 @@ from .balls import INFINITE, BallTable, _search_budget, growth_rate_upper, phi, 
 from .errors import BadParams, EmptyGeneratingSet, InsufficientData, NotApplicable
 from .folner import LowerBound, adjacency_index, min_ratio_table
 from .groups import Group
-from .isoperimetry import FiniteSubset, _as_fraction
+from .isoperimetry import FiniteSubset, _as_fraction, _exact_alpha
 
 __all__ = [
     "CscBound",
@@ -55,8 +55,7 @@ class _Bound:
         for field in fields(self):
             value = _as_fraction(getattr(self, field.name), field.name)
             object.__setattr__(self, field.name, value)
-        if self.alpha < 0:
-            raise BadParams(f"alpha must be >= 0, got {self.alpha}")
+        _exact_alpha(self.alpha)
 
     def params_dict(self):
         return {field.name: str(getattr(self, field.name)) for field in fields(self)}

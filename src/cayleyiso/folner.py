@@ -99,9 +99,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .balls import INFINITE, _budget_exceeded, _checked_sphere_counts, _search_budget
-from .errors import BadParams, InvalidParams, NoFamilyForKind
-from .groups import DihedralInfinite, Group, LamplighterZ2, ZPowerD
-from .isoperimetry import FiniteSubset
+from .errors import InvalidParams, NoFamilyForKind
+from .groups import DihedralInfinite, Group, LamplighterZ2, ZPowerD, validate_generators
+from .isoperimetry import FiniteSubset, _check_positive_int
 
 __all__ = [
     "LowerBound",
@@ -150,12 +150,14 @@ def adjacency_index(group: Group, max_size: int,
     :func:`enumerate_ball` and records a vertex's row when it expands the
     vertex, so every product x*g is formed once.  It raises the same
     :class:`RadiusOutOfRange` and :class:`MemoryBudgetExceeded` as
-    :func:`enumerate_ball` under the element budget ``max_elements``, and
-    :class:`InvalidParams` when the identity's row repeats an index or
-    contains the identity: the generators then repeat or include the
-    identity.  In a Cayley graph x*g == x*h only for g == h, so a row that
-    is clean at the identity is clean at every vertex.
+    :func:`enumerate_ball` under the element budget ``max_elements``.
+    Before it searches, it raises :class:`InvalidParams` when
+    :func:`validate_generators` finds a generator repeated or equal to the
+    identity: a row would then repeat an index or contain its own vertex.
     """
+    problems = {code for code, _ in validate_generators(group).problems}
+    if problems & {"duplicate", "contains-identity"}:
+        raise InvalidParams(f"generators of {group.descriptor} repeat or include the identity")
     budget = _search_budget(group, max_size, max_elements)
     e = group.identity
     elements = [e]
@@ -177,9 +179,6 @@ def adjacency_index(group: Group, max_size: int,
                         raise _budget_exceeded(group, budget, r)
                 row.append(i)
             adj.append(tuple(row))
-        if r == 1 and (0 in adj[0] or len(set(adj[0])) < len(steps)):
-            raise InvalidParams(
-                f"generators of {group.descriptor} repeat or include the identity")
         start = b[-1]
         b.append(len(elements))
     adj.extend([None] * (len(elements) - len(adj)))
@@ -561,8 +560,7 @@ def min_ratio_table(group: Group, max_size: int,
     the connected certificate of a group all read one scan.  A memoized
     table larger than the budget fails as a fresh scan would.
     """
-    if not isinstance(max_size, int) or max_size < 1:
-        raise BadParams(f"max_size must be a positive integer, got {max_size!r}")
+    _check_positive_int(max_size, "max_size")
     budget = _search_budget(group, max_size, max_elements)
     cache_key = (group.descriptor, group.generators, max_size)
     cached = _scan_cache.get(cache_key)
@@ -582,32 +580,30 @@ def connected_subsets(group: Group, max_size: int):
     A plain recursion over the rows of :func:`adjacency_index`, in the
     enumeration scheme of the module docstring with no floors and no
     counting: the reference the scan's counts and witnesses are tested
-    against.
+    against.  Each size is one pass of the recursion cut off at that depth,
+    so sets stream out as they are found and none is held.
     """
-    if not isinstance(max_size, int) or max_size < 1:
-        raise BadParams(f"max_size must be a positive integer, got {max_size!r}")
+    _check_positive_int(max_size, "max_size")
     index = adjacency_index(group, max_size)
     adj = index.adj
     occupied = {0}
     members = []
-    buckets = [[] for _ in range(max_size + 1)]
 
-    def grow(cands):
+    def grow(cands, size):
         # add each candidate in turn; the ones before it stay out of its branch
         for i, v in enumerate(cands):
             members.append(v)
-            buckets[len(members)].append(tuple(members))
-            if len(members) < max_size:
+            if len(members) == size:
+                yield FiniteSubset(group, [index.elements[j] for j in members])
+            else:
                 new = [u for u in adj[v] if u not in occupied]
                 occupied.update(new)
-                grow(new + cands[i + 1:])
+                yield from grow(new + cands[i + 1:], size)
                 occupied.difference_update(new)
             members.pop()
 
-    grow([0])
-    for bucket in buckets:
-        for ids in bucket:
-            yield FiniteSubset(group, [index.elements[i] for i in ids])
+    for size in range(1, max_size + 1):
+        yield from grow([0], size)
 
 
 @dataclass(frozen=True)
@@ -669,11 +665,8 @@ def folner_exact(group: Group, n: int, cap: int,
     sentinel for n >= 2 on groups configured non-amenable.  ``max_elements``
     is the element budget of the ball the search runs in.
     """
-    if not isinstance(n, int) or n < 1:
-        raise BadParams(f"n must be a positive integer, got {n!r}")
-    if not isinstance(cap, int) or cap < 1:
-        raise BadParams(f"cap must be a positive integer, got {cap!r}")
-    family = _family_upper_or_none(group, n)
+    family = _family_upper_or_none(group, n)  # checks n
+    _check_positive_int(cap, "cap")
     if n == 1:
         # every non-empty set has ratio <= 1 and the singleton attains it
         return FolnerRecord(1, 1, FiniteSubset(group, [group.identity]), cap, family)
@@ -703,8 +696,7 @@ def folner_family_upper(group: Group, n: int) -> int:
     degenerate member of every family, which settles n = 1.  Always an upper
     bound for the Folner value; never claimed minimal.
     """
-    if not isinstance(n, int) or n < 1:
-        raise BadParams(f"n must be a positive integer, got {n!r}")
+    _check_positive_int(n, "n")
     if n == 1:
         if isinstance(group, (ZPowerD, DihedralInfinite, LamplighterZ2)):
             return 1

@@ -170,6 +170,19 @@ def _as_fraction(value, name: str) -> Fraction:
     raise BadParams(f"{name} must be an exact rational, got {value!r}")
 
 
+def _exact_alpha(alpha) -> Fraction:
+    """The volume inflation alpha of the bounds, forms and lemmas: exact, >= 0."""
+    alpha = _as_fraction(alpha, "alpha")
+    if alpha < 0:
+        raise BadParams(f"alpha must be >= 0, got {alpha}")
+    return alpha
+
+
+def _check_positive_int(value, name: str) -> None:
+    if not isinstance(value, int) or value < 1:
+        raise BadParams(f"{name} must be a positive integer, got {value!r}")
+
+
 def inequality_volume(form: str, size: int, alpha=None, eps=None):
     """Volume at which ``form`` evaluates Phi for a subset of cardinality ``size``.
 
@@ -183,10 +196,8 @@ def inequality_volume(form: str, size: int, alpha=None, eps=None):
     if form in ("csc-original", "pete-correia"):
         return 2 * size
     if form in ("avg-growth", "growth-cor"):
-        alpha = _as_fraction(alpha, "alpha")
+        alpha = _exact_alpha(alpha)
         p, q = alpha.numerator, alpha.denominator
-        if p < 0:
-            raise BadParams(f"alpha must be >= 0, got {alpha}")
         return Fraction((p + q) * size, q)
     eps = _as_fraction(eps, "eps")
     p, q = eps.numerator, eps.denominator

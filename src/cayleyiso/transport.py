@@ -52,7 +52,7 @@ from .errors import (
     MalformedElement,
     PreconditionUnmet,
 )
-from .isoperimetry import FiniteSubset, _as_fraction
+from .isoperimetry import FiniteSubset, _check_positive_int, _exact_alpha
 
 __all__ = [
     "GeodesicWord",
@@ -148,8 +148,7 @@ def build_ledger(omega: FiniteSubset, table: BallTable, r: int,
     """
     if not omega.elements:
         raise EmptySet("transport ledger needs a non-empty subset")
-    if not isinstance(r, int) or r < 1:
-        raise BadParams(f"radius must be a positive integer, got {r!r}")
+    _check_positive_int(r, "radius")
     if len(omega) > size_cap:
         raise BadParams(
             f"|W| = {len(omega)} exceeds the ledger size cap {size_cap}; "
@@ -263,9 +262,7 @@ def verify_lemma(which: str, table: BallTable | None = None,
         return _verify_fiber(ledger)
     if alpha is None:
         raise BadParams(f"lemma {which!r} needs alpha")
-    alpha = _as_fraction(alpha, "alpha")
-    if alpha < 0:
-        raise BadParams(f"alpha must be >= 0, got {alpha}")
+    alpha = _exact_alpha(alpha)
     if which == "ray-lower":
         return _verify_ray_lower(ledger, alpha)
     return _verify_conclude(ledger, alpha)
@@ -321,16 +318,7 @@ def _verify_ray_lower(ledger: TransportLedger, alpha: Fraction) -> LemmaReport:
         raise PreconditionUnmet(
             f"|B({ledger.r})| = {ledger.table.b[ledger.r]} < (1+alpha)|W| = {needed}"
         )
-    group = ledger.omega.group
-    floor = alpha * size
-    for x, gs in ledger.rays.items():
-        if len(gs) < floor:
-            return LemmaReport(
-                "ray-lower", False, {"x": group.format_element(x)},
-                f"|rays({group.format_element(x)})| = {len(gs)} below alpha |W| = {floor}",
-            )
-    return LemmaReport("ray-lower", True, None,
-                       f"every ray set has size >= {floor}")
+    return _ray_floor("ray-lower", ledger, alpha * size, "alpha |W|")
 
 
 def _verify_conclude(ledger: TransportLedger, alpha: Fraction) -> LemmaReport:
@@ -341,14 +329,17 @@ def _verify_conclude(ledger: TransportLedger, alpha: Fraction) -> LemmaReport:
             f"ledger radius {ledger.r} is not the growth inverse at (1+alpha)|W| "
             f"(got {r!r})"
         )
-    group = ledger.omega.group
     floor = alpha / (1 + alpha) * ledger.table.b[r - 1]
+    return _ray_floor("conclude", ledger, floor, "(alpha/(1+alpha)) b_(r-1)")
+
+
+def _ray_floor(which: str, ledger: TransportLedger, floor: Fraction, label: str) -> LemmaReport:
+    """Every ray set has at least ``floor`` members; ``label`` names the floor."""
+    group = ledger.omega.group
     for x, gs in ledger.rays.items():
         if len(gs) < floor:
             return LemmaReport(
-                "conclude", False, {"x": group.format_element(x)},
-                f"|rays({group.format_element(x)})| = {len(gs)} below "
-                f"(alpha/(1+alpha)) b_(r-1) = {floor}",
+                which, False, {"x": group.format_element(x)},
+                f"|rays({group.format_element(x)})| = {len(gs)} below {label} = {floor}",
             )
-    return LemmaReport("conclude", True, None,
-                       f"every ray set has size >= {floor}")
+    return LemmaReport(which, True, None, f"every ray set has size >= {floor}")

@@ -340,6 +340,13 @@ def test_unknown_flag_exit_1(capsys):
     code, _, err = run(capsys, ["growth", "--group", "z:1", "--radius", "2",
                                 "--frobnicate"])
     assert code == 1
+    # convert and quotient print JSON only, so they take no --format
+    for argv in (["convert", "--direction", "csc-to-folner", "--c", "1", "--alpha", "1",
+                  "--rho", "1"],
+                 ["quotient", "--group", "free:2", "--horizon", "3", "--cap", "2"]):
+        code, out, err = run(capsys, argv + ["--format", "csv"])
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --format csv" in err
 
 
 def test_unknown_subcommand_exit_1(capsys):

@@ -3,6 +3,7 @@ import os
 import random
 import signal
 import threading
+import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -59,6 +60,19 @@ def test_connected_subsets_z2_size2():
     assert sets[0].elements == frozenset({(0, 0)})
     for s in sets[1:]:
         assert (0, 0) in s.elements and len(s) == 2
+
+
+def test_connected_subsets_streams():
+    # 118,020 sets at size 9 on z:2; the first must come without building them
+    z2 = make_group("z:2")
+    tracemalloc.start()
+    try:
+        first = next(connected_subsets(z2, 9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first.elements == frozenset({(0, 0)})
+    assert peak < 1 << 20, f"traced peak {peak} bytes before the first set"
 
 
 def _uf_connected(group, elements):
@@ -288,8 +302,10 @@ def test_adjacency_index_rejects_repeated_or_identity_generators(group_type):
     # a repeated neighbor would be counted once per repeat, and the floors
     # assume distinct neighbors other than the vertex itself
     group = group_type()
-    with pytest.raises(InvalidParams, match="repeat or include the identity"):
-        adjacency_index(group, 4)
+    for size, budget in ((4, None), (0, None), (4, 0), (4, 2)):
+        # at every size, and before the element budget can run out
+        with pytest.raises(InvalidParams, match="repeat or include the identity"):
+            adjacency_index(group, size, max_elements=budget)
     # the real line has the same descriptor; its memoized scan must not answer
     min_ratio_table(make_group("z:1"), 4)
     with pytest.raises(InvalidParams):
@@ -456,6 +472,16 @@ def test_folner_bad_params():
         folner_exact(z, 2, 0)
     with pytest.raises(BadParams):
         min_ratio_table(z, 0)
+    with pytest.raises(BadParams):
+        list(connected_subsets(z, 0))
+    with pytest.raises(BadParams):
+        folner_family_upper(z, 0)
+    for bad in (1.5, "2"):
+        for call in (lambda: folner_exact(z, bad, 5), lambda: folner_exact(z, 2, bad),
+                     lambda: min_ratio_table(z, bad), lambda: list(connected_subsets(z, bad)),
+                     lambda: folner_family_upper(z, bad)):
+            with pytest.raises(BadParams):
+                call()
 
 
 # ------------------------------------------------------ folner_family_upper

@@ -290,6 +290,35 @@ def test_lemma_alpha_must_be_exact():
                 verify_lemma(which, ledger=ledger, alpha=alpha)
 
 
+def test_lemma_failures_name_their_witness():
+    # ledgers altered by hand: each verifier must report the first entry over
+    # its bound, with the witness and the detail text of that entry
+    z = make_group("z:1")
+    ledger = build_ledger(z_subset(z, [0, 1, 2]), enumerate_ball(z, 6), 3)
+    assert ledger.sum_rays == 12
+    inflated = dataclasses.replace(
+        ledger, omega_g={**ledger.omega_g, (1,): ((0,), (1,), (2,))})
+    overcounted = dataclasses.replace(
+        ledger, exit_fibers={**ledger.exit_fibers, ((1,), (2,)): 2})
+    short = dataclasses.replace(ledger, rays={**ledger.rays, (0,): ()})
+    cases = [
+        (verify_lemma("transport", ledger=inflated),
+         {"g": "1"}, "|W_g| = 3 exceeds |g| |bd W| = 2"),
+        (verify_lemma("counting", ledger=inflated),
+         {"sum_rays": 12, "sum_omega_g": 14}, "the two countings disagree"),
+        (verify_lemma("fiber", ledger=overcounted),
+         {"g": "1", "b": "2"}, "fiber of size 2 exceeds |g| = 1"),
+        (verify_lemma("ray-lower", ledger=short, alpha=1),
+         {"x": "0"}, "|rays(0)| = 0 below alpha |W| = 3"),
+        (verify_lemma("conclude", ledger=short, alpha=1),
+         {"x": "0"}, "|rays(0)| = 0 below (alpha/(1+alpha)) b_(r-1) = 5/2"),
+    ]
+    for report, witness, detail in cases:
+        assert (report.holds, report.witness, report.detail) == (False, witness, detail)
+    for which in ("ray-lower", "conclude"):
+        assert verify_lemma(which, ledger=ledger, alpha=1).holds
+
+
 def test_lemma_transport_and_fiber_random(groups):
     rng = random.Random(5)
     for g in groups.values():
