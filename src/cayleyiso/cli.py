@@ -37,7 +37,7 @@ from .constants import (
     folner_to_csc,
     quotient_estimate,
 )
-from .errors import CayleyIsoError, PreconditionUnmet
+from .errors import CayleyIsoError, NoFamilyForKind, PreconditionUnmet
 from .folner import folner_exact, folner_family_upper
 from .groups import ZPowerD, make_group
 from .isoperimetry import (
@@ -344,14 +344,33 @@ def _cmd_transport(args) -> int:
     return 0
 
 
+def _check_printable(value, what: str) -> None:
+    """Raise a typed error where the interpreter's limit on the digits of an
+    int turned into text would stop ``str`` and ``json.dumps`` on ``value``."""
+    try:
+        str(value)
+    except ValueError:
+        raise CayleyIsoError(
+            f"{what} has more than {sys.get_int_max_str_digits()} decimal digits, "
+            "the interpreter's limit for printing an integer "
+            "(PYTHONINTMAXSTRDIGITS sets it)") from None
+
+
 def _cmd_folner(args) -> int:
     group = make_group(args.group)
+    try:
+        family = folner_family_upper(group, args.n)
+    except NoFamilyForKind:
+        if args.family_only:
+            raise
+        family = None
+    # before the scan, which can run for a minute
+    _check_printable(family, f"the family upper bound for n={args.n}")
     if args.family_only:
-        value = folner_family_upper(group, args.n)
         if args.format == "json":
-            _emit(args, _json({"group": group.descriptor, "n": args.n, "family_upper": value}))
+            _emit(args, _json({"group": group.descriptor, "n": args.n, "family_upper": family}))
         else:
-            _emit(args, f"n,family_upper\n{args.n},{value}")
+            _emit(args, f"n,family_upper\n{args.n},{family}")
         return 0
     record = folner_exact(group, args.n, args.cap, max_elements=_budget(args))
     if args.format == "json":

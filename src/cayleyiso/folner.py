@@ -48,15 +48,32 @@ added vertices, so at most twos(S) members do; each added vertex has at most
 the vertex itself, so it keeps an outside neighbor when |S|+1 < deg.  Every
 leaf below S therefore has at least bcount(S) + 2[|S|+1 < deg] - twos(S)
 boundary members.
-Size floor: a member x of a set T is interior only if its deg neighbors, all
-distinct from x, lie in T, which needs |T| >= deg+1.  So a set of at most deg
-vertices has |T| boundary members.  If |T| = deg+1, an interior x has T =
-N[x], its closed neighborhood; a second interior member y = x*g then has
-N[y] = N[x], and left translation by x^-1, an automorphism of the Cayley
-graph, turns that into N[g] = N[e].  At most 1 + t members are interior,
-where t is the number of generators g with N[g] = N[e], and the boundary is
-at least deg - t.  Each of the two floors is raised to the size floor of its
-size.
+Size floor: a member x of a set T is interior only if its closed
+neighborhood N[x] = {x} + {x*g} lies in T; N[x] has deg+1 distinct vertices.
+Let I be the interior members of T and N[I] the union of their closed
+neighborhoods, so |N[I]| <= |T|.  Split I into components J, two members
+falling in one component when their closed neighborhoods meet; then the
+sets N[J] of different components are disjoint, and the sizes |N[J]| sum to
+|N[I]|.  Left translation is an automorphism of the Cayley graph, so each J
+may be moved to contain the identity.  With c(t) the largest |J| over
+components containing the identity with |N[J]| = t, a set of s vertices has
+at most M(s) interior members, where M is the unbounded knapsack
+M(s) = max(M(s-1), max_t c(t) + M(s-t)), and at least s - M(s) boundary
+members.  c comes from a complete search of those components up to
+|N[J]| <= k, by the enumeration scheme above on the graph whose edges join
+vertices with meeting closed neighborhoods: N[J] is then connected and holds
+the identity, so it lies in B(k-1), where every row is known.  On symmetric
+rows that graph joins x to the closed neighborhoods of its neighbors; with
+directed rows it would need in-neighbors, so there, and where the search
+would visit more components than the index has vertices (on a path their
+number grows exponentially), the floor keeps only what holds for any rows:
+a set of at most deg vertices has no interior member, and in a set of deg+1
+vertices an interior x has T = N[x], a second interior member y = x*g has
+N[y] = N[x], translated N[g] = N[e], so at most 1 + t members are interior,
+where t is the number of generators g with N[g] = N[e].  At sizes up to
+deg+1 the packing bound gives these same floors.  The floors of all sizes are computed once
+per scan, and each of the two floors of a node is raised to the size floor
+of its size.
 While both floors are at least the current minima of their sizes, no set
 below the remaining children is a strict improvement: child S+v adds one set
 of size k-1 and fresh(v) + (the number of candidates after v) leaves, where
@@ -68,6 +85,16 @@ bound, raised to the leaf floor of S, is below the leaf minimum.  Counts,
 minima and first achievers stay those of the full scan by the argument
 above.
 
+Settled subtrees: size m is settled once its current minimum is at most its
+size floor, as no set of size m can then be a strict improvement.  Minima
+only fall, so a settled size stays settled, and the largest unsettled size
+is tracked as minima fall.  Before each child of a node of size s, if every
+size above s is settled, no set below the remaining children can change a
+minimum or a witness, and they are counted instead of scanned: a recursion
+that keeps only the occupied vertices and adds one set per child, down to
+the nodes of size k-2, which count their children and leaves by the
+arithmetic above.
+
 Parallel scan, after Mertens and Lautenbacher ("Counting lattice animals: a
 parallel attack", J. Stat. Phys. 66, 1992).  Split: the caller's process
 enumerates the sets of size up to 3 and tallies them itself; each node of
@@ -78,15 +105,16 @@ caller, the others are forked.  Merge: per task in order, counts are added,
 and a task's minimum replaces the running one only if strictly lower.  A set
 larger than 3 lies below exactly one node of size 3, and the tasks partition
 the canonical order into consecutive runs, so this keeps the first achiever.
-Carry-over: a worker seeds each task's leaf minimum with the least leaf it
-found in its own earlier tasks, and every other size from scratch.  Those
-tasks all precede the current one, so a leaf of the current task that is not
-strictly below the seed is not the first achiever of the global minimum,
-and the leaf bound may skip it; a task reports a leaf minimum only when it
-is strictly below its seed, and then with its own first achiever.  The seed
-is no lower than the running merged minimum before the task, so a task that
-found nothing new never wins the merge.  Counts, minima and witnesses are
-therefore those of the sequential scan, whatever the number of workers.
+Carry-over: a worker seeds each task's minimum of every size with the least
+boundary of that size it found in its own earlier tasks.  Those tasks all
+precede the current one, so a set of the current task that is not strictly
+below the seed of its size is not the first achiever of the global minimum,
+and the floors may skip it or settle the size; a task reports a minimum only
+when it is strictly below its seed, and then with its own first achiever.
+The seed is no lower than the running merged minimum before the task, so a
+task that found nothing new never wins the merge.  Counts, minima and
+witnesses are therefore those of the sequential scan, whatever the number of
+workers.
 """
 
 from __future__ import annotations
@@ -198,17 +226,77 @@ def _workers() -> int:
         return 1
 
 
-def _size_floor(adj, size):
-    """Least inner boundary of any set of ``size`` vertices, by the size floor
-    of the module docstring (0 where it gives nothing)."""
-    root_adj = adj[0]
-    deg = len(root_adj)
-    if size <= deg:
-        return size
-    if size == deg + 1:
-        closed = {0, *root_adj}
-        return deg - sum(1 for g in root_adj if {g, *adj[g]} == closed)
-    return 0
+def _size_floors(adj, max_size):
+    """Least inner boundary of any set of each size 0..``max_size``, by the
+    size floor of the module docstring: s minus the interior packing bound
+    where the rows are symmetric and its search stays within budget, else
+    the floor at deg+1 alone (0 above it)."""
+    root = adj[0]
+    deg = len(root)
+    floors = list(range(max_size + 1))
+    if max_size <= deg:
+        return floors
+    # a Cayley graph's rows are symmetric everywhere when they are at vertex 0
+    packing = _interior_packing(adj, max_size) if all(0 in adj[g] for g in root) else None
+    if packing is not None:
+        return [s - m for s, m in enumerate(packing)]
+    closed = {0, *root}
+    interior = 1 + sum(1 for g in root if {g, *adj[g]} == closed)
+    return floors[:deg + 1] + [deg + 1 - interior] + [0] * (max_size - deg - 1)
+
+
+def _interior_packing(adj, max_size):
+    """Per s <= ``max_size``, the knapsack bound M(s) on the interior members
+    of a set of s vertices (module docstring), from a complete search of the
+    components containing vertex 0; None when the search would visit more
+    than ``len(adj)`` components.  Needs symmetric rows."""
+    most = [0] * (max_size + 1)  # most[t]: largest component J with |N[J]| = t
+    cover = [0] * len(adj)  # members of J whose closed neighborhood holds the vertex
+    seen = bytearray(len(adj))
+    seen[0] = 1
+    left = len(adj)
+
+    def grow(cands, size, closed):
+        # Redelmeier's scheme on the graph where two vertices are adjacent
+        # when their closed neighborhoods meet; False once over budget
+        nonlocal left
+        for i, v in enumerate(cands):
+            row = adj[v]
+            if row is None:  # on the outer sphere: |N[J]| > max_size
+                continue
+            hood = (v, *row)
+            t = closed + sum(1 for u in hood if not cover[u])
+            if t > max_size:  # so has every component with v in it
+                continue
+            left -= 1
+            if left < 0:
+                return False
+            most[t] = max(most[t], size + 1)
+            for u in hood:
+                cover[u] += 1
+            # the closed neighborhood lies within max_size - 1 of vertex 0,
+            # so every z below has its row
+            new = []
+            for z in hood:
+                for y in (z, *adj[z]):
+                    if not seen[y]:
+                        seen[y] = 1
+                        new.append(y)
+            if not grow(new + cands[i + 1:], size + 1, t):
+                return False
+            for y in new:
+                seen[y] = 0
+            for u in hood:
+                cover[u] -= 1
+        return True
+
+    if not grow([0], 0, 0):
+        return None
+    packing = [0] * (max_size + 1)
+    for s in range(1, max_size + 1):
+        packing[s] = max([packing[s - 1]] + [most[t] + packing[s - t]
+                                             for t in range(1, s + 1) if most[t]])
+    return packing
 
 
 def _scan(adj, max_size, workers=None):
@@ -281,8 +369,18 @@ def _enumerator(adj, max_size, split=0, tasks=None):
     pair_size = max_size - 2
     outside = 1 if leaf_parent < deg else 0
     child_outside = 1 if pair_size < deg else 0
-    child_size_floor = _size_floor(adj, leaf_parent)
-    leaf_size_floor = _size_floor(adj, max_size)
+    floors = _size_floors(adj, max_size)
+    child_size_floor = floors[leaf_parent]
+    leaf_size_floor = floors[max_size]
+    # the largest size whose minimum is above its floor (0: none); every size
+    # above it is settled
+    open_top = max_size
+
+    def settle():
+        # lower ``open_top`` past the sizes whose minimum reached the floor
+        nonlocal open_top
+        while open_top and best[open_top] <= floors[open_top]:
+            open_top -= 1
 
     def rec(cands, size, bcount, ones):
         # ``ones`` is the number of members with exactly one outside neighbor
@@ -291,6 +389,10 @@ def _enumerator(adj, max_size, split=0, tasks=None):
             return
         nsize = size + 1
         for i, v in enumerate(cands):
+            if open_top <= size:
+                # no set below the remaining children is a strict improvement
+                count_only(cands[i:], size)
+                return
             av = adj[v]
             od = 0
             bc = bcount
@@ -317,6 +419,7 @@ def _enumerator(adj, max_size, split=0, tasks=None):
             if bc < best[nsize]:
                 best[nsize] = bc
                 witness[nsize] = tuple(members)
+                settle()
             if nsize < leaf_parent:
                 new = [u for u in av if not occupied[u]]
                 for u in new:
@@ -333,6 +436,32 @@ def _enumerator(adj, max_size, split=0, tasks=None):
                 if in_set[u]:
                     outdeg[u] += 1
 
+    def count_only(cands, size):
+        # the subtrees below the children ``cands`` of a node of ``size``,
+        # counted with ``occupied`` alone
+        if size == pair_size:
+            count_pairs(cands)
+            return
+        nsize = size + 1
+        count[nsize] += len(cands)
+        if nsize < leaf_parent:
+            for i, v in enumerate(cands):
+                new = [u for u in adj[v] if not occupied[u]]
+                for u in new:
+                    occupied[u] = 1
+                count_only(new + cands[i + 1:], nsize)
+                for u in new:
+                    occupied[u] = 0
+
+    def count_pairs(rest):
+        # the children S+v, v in ``rest``, of a node S of size max_size - 2 and
+        # the leaves below them: S+v has a leaf per candidate after v and per
+        # neighbor of v that is not occupied
+        left = len(rest)
+        count[leaf_parent] += left
+        occ = sum([occupied[u] for w in rest for u in adj[w]])
+        count[max_size] += left * (left - 1) // 2 + left * deg - occ
+
     def pairs(cands, bcount, ones):
         # the leaf parents S+v and the leaves below a node S of size
         # max_size - 2, counted by arithmetic where the floors allow it
@@ -342,14 +471,8 @@ def _enumerator(adj, max_size, split=0, tasks=None):
         last = len(cands) - 1
         for i, v in enumerate(cands):
             if child_floor >= best[leaf_parent] and leaf_floor >= best[max_size]:
-                # no set below the remaining children is a strict improvement;
-                # each child has a leaf per candidate after it and per
-                # neighbor that is not occupied
-                rest = cands[i:]
-                left = len(rest)
-                count[leaf_parent] += left
-                occ = sum([occupied[u] for w in rest for u in adj[w]])
-                count[max_size] += left * (left - 1) // 2 + left * deg - occ
+                # no set below the remaining children is a strict improvement
+                count_pairs(cands[i:])
                 return
             # peek at S+v: the reads of ``rec``'s add loop, without the writes
             av = adj[v]
@@ -377,6 +500,7 @@ def _enumerator(adj, max_size, split=0, tasks=None):
             if bc < best[leaf_parent]:
                 best[leaf_parent] = bc
                 witness[leaf_parent] = (*members, v)
+                settle()
             count[max_size] += fresh + last - i
             floor = bc + outside - o1
             if floor < leaf_floor:
@@ -416,12 +540,17 @@ def _enumerator(adj, max_size, split=0, tasks=None):
                 witness[max_size] = (*members, w)
                 if b <= floor:
                     break
-        best[max_size] = least
+        if least < best[max_size]:
+            best[max_size] = least
+            settle()
 
     def run(prefix, cands, bcount, ones, least):
+        nonlocal open_top
         count[:] = [0] * (max_size + 1)
         best[:] = least
         witness[:] = [None] * (max_size + 1)
+        open_top = max_size
+        settle()
         # replay the additions of the prefix; the occupied vertices of a node
         # are the identity and every neighbor of a member
         occupied[0] = 1
@@ -449,12 +578,13 @@ def _enumerator(adj, max_size, split=0, tasks=None):
 
 
 def _run_share(run, share, max_size):
-    """Run the tasks of ``share`` in order, carrying the leaf minimum."""
+    """Run the tasks of ``share`` in order, each seeded with the minima of
+    every size found in the tasks before it."""
     results = []
     least = [max_size + 1] * (max_size + 1)
     for prefix, cands, bcount, ones in share:
         result = run(prefix, cands, bcount, ones, least)
-        least = least[:max_size] + [result[1][max_size]]
+        least = result[1]
         results.append(result)
     return results
 

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -260,6 +261,22 @@ def test_folner_family_only(capsys):
                                 "--family-only"])
     assert code == 0
     assert out.strip().splitlines()[1] == "2,49"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("family_only", [True, False])
+def test_folner_family_bound_past_the_digit_limit(capsys, fmt, family_only):
+    # the lamplighter bound m 2^m with m = 20000 has 6025 digits; the check
+    # comes before the scan, which the default cap of 10 would start
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter prints integers of any length")
+    argv = ["folner", "--group", "lamplighter", "--n", "10000", "--format", fmt]
+    code, out, err = run(capsys, argv + ["--family-only"] * family_only)
+    assert code == 1
+    assert out == ""
+    assert err == ("cayleyiso folner: error: the family upper bound for n=10000 has more "
+                   f"than {sys.get_int_max_str_digits()} decimal digits, the interpreter's "
+                   "limit for printing an integer (PYTHONINTMAXSTRDIGITS sets it)\n")
 
 
 def test_folner_infinite_json(capsys):

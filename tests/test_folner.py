@@ -1,8 +1,10 @@
+import functools
 import itertools
 import os
 import random
 import signal
 import threading
+import time
 import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
@@ -15,7 +17,9 @@ from cayleyiso.errors import BadParams, InvalidParams, MemoryBudgetExceeded, NoF
 from cayleyiso.folner import (
     LowerBound,
     _enumerator,
+    _run_share,
     _scan,
+    _size_floors,
     _workers,
     adjacency_index,
     connected_subsets,
@@ -26,7 +30,7 @@ from cayleyiso.folner import (
 from cayleyiso.groups import make_group
 from cayleyiso.isoperimetry import FiniteSubset, boundary_ratio
 
-from conftest import BUILTIN_DESCRIPTORS, _DoubledLine, _LoopedLine
+from conftest import BUILTIN_DESCRIPTORS, KERNEL_GROUPS, _DoubledLine, _LoopedLine
 
 
 # ------------------------------------------------------- connected_subsets
@@ -252,25 +256,161 @@ def test_scan_on_circulants_matches_grown_sets():
     # leaf minimum seeded just above the true one, a leaf floor above some
     # minimizer's boundary would lose the minimum
     for n in range(5, 10):
-        for r in range(1, n // 2 + 1):
-            for half in itertools.combinations(range(1, n // 2 + 1), r):
-                steps = sorted({s % n for h in half for s in (h, -h)})
-                adj = tuple(tuple((i + s) % n for s in steps) for i in range(n))
-                size = min(n, 7)
-                levels = _grown_connected_sets(0, adj.__getitem__, size)
-                count = [len(level) for level in levels]
-                min_boundary = [None] + [
-                    min((sum(1 for x in s if any(y not in s for y in adj[x]))
-                         for s in level), default=None)
-                    for level in levels[1:]
-                ]
-                for workers in (1, 2):
-                    got_count, got_min, _, _ = _scan(adj, size, workers=workers)
-                    assert (got_count, got_min) == (count, min_boundary), (n, steps)
-                if min_boundary[size] is not None:
-                    run = _enumerator(adj, size)
-                    seeded = run((), [0], 0, 0, [size + 1] * size + [min_boundary[size] + 1])
-                    assert seeded[1][size] == min_boundary[size], (n, steps)
+        for adj in _circulants(n):
+            size = min(n, 7)
+            levels = _grown_connected_sets(0, adj.__getitem__, size)
+            count = [len(level) for level in levels]
+            min_boundary = [None] + [
+                min((_row_boundary(adj, s) for s in level), default=None)
+                for level in levels[1:]
+            ]
+            for workers in (1, 2):
+                got_count, got_min, _, _ = _scan(adj, size, workers=workers)
+                assert (got_count, got_min) == (count, min_boundary), adj[0]
+            if min_boundary[size] is not None:
+                run = _enumerator(adj, size)
+                seeded = run((), [0], 0, 0, [size + 1] * size + [min_boundary[size] + 1])
+                assert seeded[1][size] == min_boundary[size], adj[0]
+
+
+def _circulants(n):
+    """Rows of the Cayley graphs of Z/n for every symmetric step set."""
+    for r in range(1, n // 2 + 1):
+        for half in itertools.combinations(range(1, n // 2 + 1), r):
+            steps = sorted({s % n for h in half for s in (h, -h)})
+            yield tuple(tuple((i + s) % n for s in steps) for i in range(n))
+
+
+def _row_boundary(adj, members):
+    """Members of the set ``members`` with a neighbor outside it, by rows."""
+    return sum(1 for x in members if any(y not in members for y in adj[x]))
+
+
+# ------------------------------------------ size floors and settled subtrees
+
+# the kernel groups whose generating sets the scan accepts
+SCANNED_GROUPS = [name for name in KERNEL_GROUPS if name not in ("doubled-line", "looped-line")]
+# the largest size at which a group's sets are enumerated one at a time; at
+# size 7 these have 0.2-0.9 million sets, and the lamplighter (degree 8) no
+# interior member
+ENUMERATED_SIZE = {"lamplighter": 5, "z:3": 6, "free:3": 6}
+
+
+@functools.lru_cache(maxsize=None)
+def _tally(name):
+    """Counts and least inner boundaries per size of the sets that
+    ``connected_subsets`` yields, up to the group's enumerated size."""
+    group = KERNEL_GROUPS[name]()
+    size = ENUMERATED_SIZE.get(name, 7)
+    count = [0] * (size + 1)
+    least = [None] * (size + 1)
+    for subset in connected_subsets(group, size):
+        m = len(subset)
+        b = len(subset.boundary_set())
+        count[m] += 1
+        if least[m] is None or b < least[m]:
+            least[m] = b
+    return count, least
+
+
+@pytest.mark.parametrize("name", SCANNED_GROUPS)
+def test_size_floors_below_least_boundaries(name):
+    # a floor above some set's boundary would let the scan skip a minimizer
+    group = KERNEL_GROUPS[name]()
+    _, least = _tally(name)
+    size = len(least) - 1
+    floors = _size_floors(adjacency_index(group, size).adj, size)
+    assert len(floors) == size + 1
+    for m in range(1, size + 1):
+        if least[m] is not None:
+            assert floors[m] <= least[m], m
+
+
+def test_size_floors_on_circulants_below_every_set():
+    # finite graphs, where the packing also counts components that wrap
+    # around; every set of each size, connected or not
+    for n in range(5, 10):
+        for adj in _circulants(n):
+            floors = _size_floors(adj, n)
+            for m in range(1, n + 1):
+                least = min(_row_boundary(adj, set(s))
+                            for s in itertools.combinations(range(n), m))
+                assert floors[m] <= least, (adj[0], m)
+
+
+def test_size_floors_pinned_values():
+    # on the bench's degree-4 cases the floors are the least boundaries
+    for desc, size, floors in [
+        ("heis", 9, [1, 2, 3, 4, 4, 5, 6, 6, 7]),
+        ("z:2", 9, [1, 2, 3, 4, 4, 5, 6, 6, 7]),
+        ("free:2", 7, [1, 2, 3, 4, 4, 5, 6]),
+    ]:
+        group = make_group(desc)
+        assert _size_floors(adjacency_index(group, size).adj, size)[1:] == floors
+        assert min_ratio_table(group, size).min_boundary[1:] == floors
+    # two lamplighter vertices whose closed neighborhoods cover 10 vertices
+    lamplighter = adjacency_index(make_group("lamplighter"), 10).adj
+    assert _size_floors(lamplighter, 10)[1:] == [1, 2, 3, 4, 5, 6, 7, 8, 8, 8]
+
+
+@pytest.mark.parametrize("desc", ["z:1", "dinf"])
+def test_size_floor_search_is_bounded(desc):
+    # on a path the components of interior members grow exponentially with
+    # the size; past len(adj) of them the floor falls back to deg+1
+    group = make_group(desc)
+    with _time_limit(20):
+        start = time.perf_counter()
+        adj = adjacency_index(group, 40).adj
+        floors = _size_floors(adj, 40)
+        count, min_boundary, _, _ = _scan(adj, 40)
+        assert time.perf_counter() - start < 2
+    assert floors[:4] == [0, 1, 2, 2]
+    assert count == [0] + list(range(1, 41))
+    assert min_boundary == [None, 1] + [2] * 39
+
+
+@pytest.mark.parametrize("name", SCANNED_GROUPS)
+def test_counts_only_path_counts_every_set(name):
+    # seeded at 0, every size is settled from the root on, so the whole tree
+    # is counted by the counts-only recursion and the shared pair arithmetic
+    group = KERNEL_GROUPS[name]()
+    count, _ = _tally(name)
+    for size in range(1, 8):
+        adj = adjacency_index(group, size).adj
+        run = _enumerator(adj, size)
+        counted, best, witness = run((), [0], 0, 0, [0] * (size + 1))
+        assert counted == _scan(adj, size, workers=1)[0], size
+        if size < len(count):
+            assert counted == count[:size + 1], size
+        assert best == [0] * (size + 1)
+        assert witness == [None] * (size + 1)
+
+
+def test_later_tasks_settle_on_carried_minima():
+    # a worker seeds each task with every size's minimum from its earlier
+    # tasks; a later task then finds nothing new at sizes below the leaves
+    # and counts where it would have searched
+    size = 7
+    adj = adjacency_index(make_group("heis"), size).adj
+    tasks = []
+    run = _enumerator(adj, size, 3, tasks)
+    run((), [0], 0, 0, [size + 1] * (size + 1))
+    carried = _run_share(run, tasks, size)
+    seed = [size + 1] * (size + 1)
+    settled = 0
+    for task, result in zip(tasks, carried):
+        alone = run(*task, [size + 1] * (size + 1))
+        assert result[0] == alone[0]
+        for m in range(4, size + 1):
+            if alone[1][m] < seed[m]:
+                assert (result[1][m], result[2][m]) == (alone[1][m], alone[2][m])
+            else:
+                assert (result[1][m], result[2][m]) == (seed[m], None)
+                settled += m < size and alone[2][m] is not None
+        seed = result[1]
+    assert settled
+
+
 
 
 @pytest.mark.parametrize("desc", BUILTIN_DESCRIPTORS)
