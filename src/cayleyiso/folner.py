@@ -310,7 +310,8 @@ def _scan(adj, max_size, workers=None):
 
     Sets of the top two sizes are handled in the loop of the node two levels
     above them: counted by arithmetic, and examined only when one of them
-    could set a new minimum.  With more than one worker (default: the CPUs
+    could set a new minimum.  A subtree whose sizes have all reached their
+    size floors is counted without being examined.  With more than one worker (default: the CPUs
     of the affinity mask) the tree is split into subtrees that run in forked
     processes, with the same result (see the module docstring).  The scan
     stays in this process when ``max_size`` is below 5 or when the process
