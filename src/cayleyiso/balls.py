@@ -8,8 +8,9 @@ integers, hence arbitrary precision by construction.
 Frontier expansion follows generator-list order with a FIFO queue, so element
 discovery order (and everything derived from it) is reproducible.  The search
 right-multiplies by the group's trusted steps and skips, for each element, the
-one product that leads back to its parent; :func:`enumerate_ball` proves that
-the skipped product is never new.
+one product that leads back to its parent; :func:`_spheres` proves that the
+skipped product is never new.  :func:`table_for_volume` grows one search
+through doubling radii instead of restarting it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, count, islice
 
 from .errors import BadParams, HorizonExceeded, MemoryBudgetExceeded, RadiusOutOfRange
 from .groups import Group
@@ -136,7 +137,18 @@ def enumerate_ball(group: Group, radius: int, max_elements: int | None = None) -
     """Enumerate B(radius) by breadth-first search from the identity.
 
     Raises :class:`MemoryBudgetExceeded` (carrying the last completed radius)
-    if the ball outgrows ``max_elements``.
+    if the ball outgrows ``max_elements``.  The search is :func:`_spheres`.
+    """
+    budget = _search_budget(group, radius, max_elements)
+    for state in islice(_spheres(group, budget), radius + 1):
+        pass
+    return _table(group, radius, *state)
+
+
+def _spheres(group: Group, budget: int):
+    """The one ball search.  Yields the state ``(elements, norm_of, b)`` of
+    B(0) and again after each completed sphere, the same lists grown in
+    place, and returns at the first empty sphere.
 
     Each frontier element x keeps the letter j by which it was first
     reached, and the search skips the product of x by the inverse of g_j.
@@ -144,12 +156,19 @@ def enumerate_ball(group: Group, radius: int, max_elements: int | None = None) -
     sphere, so x * g_j^-1 = p is already in the table.  Every product the
     search forms is formed in the same order as without the skip, so the
     discovery order, the norms and the counts are those of the full search.
+
+    The budget is checked once per expanded element, so the search raises
+    :class:`MemoryBudgetExceeded` at the first sphere whose ball holds more
+    than ``budget`` elements.  By then the ball holds at most budget + deg
+    elements (deg generators): up to deg - 1 more than the budget + 1 at
+    which a check per new element would stop.
     """
-    budget = _search_budget(group, radius, max_elements)
     e = group.identity
     elements = [e]
     norm_of = {e: 0}
     b = [1]
+    state = elements, norm_of, b
+    yield state
     gens = group.generators
     k = len(gens)
     # moves[j]: the (letter, step) pairs tried from an element first reached
@@ -163,7 +182,7 @@ def enumerate_ball(group: Group, radius: int, max_elements: int | None = None) -
     moves.append(every)
     frontier = [e]
     letters = [k]
-    for r in range(1, radius + 1):
+    for r in count(1):
         new_frontier = []
         new_letters = []
         for x, j in zip(frontier, letters):
@@ -173,19 +192,24 @@ def enumerate_ball(group: Group, radius: int, max_elements: int | None = None) -
                     norm_of[y] = r
                     new_frontier.append(y)
                     new_letters.append(h)
-                    if len(norm_of) > budget:
-                        raise _budget_exceeded(group, budget, r)
+            if len(norm_of) > budget:
+                raise _budget_exceeded(group, budget, r)
         if not new_frontier:
-            break
+            return
         elements.extend(new_frontier)
         b.append(len(elements))
+        yield state
         frontier = new_frontier
         letters = new_letters
+
+
+def _table(group: Group, radius: int, elements: list, norm_of: dict, b: list) -> BallTable:
+    """The table of B(radius) from a search state that reached it."""
     # b is short of radius + 1 entries only when a sphere came out empty
     exhausted = len(b) <= radius
     b.extend([len(elements)] * (radius + 1 - len(b)))
-    s = _checked_sphere_counts(b, k)
-    length_sum = list(accumulate(r * count for r, count in enumerate(s)))
+    s = _checked_sphere_counts(b, len(group.generators))
+    length_sum = list(accumulate(r * size for r, size in enumerate(s)))
     return BallTable(group, radius, elements, norm_of, b, s, length_sum, exhausted)
 
 
@@ -267,8 +291,9 @@ class GrowthEstimate:
     ``fekete_inf`` = min over 1 <= n <= horizon of ln(b_n)/n, an upper bound
     for the true limit.  ``is_exponential_evidence`` is a heuristic flag only,
     never a proof: it holds when late increments of ln(b_n) stay comparable to
-    the mid-horizon ones.  Polynomial growth halves those increments with n,
-    exponential growth keeps them essentially constant.
+    the mid-horizon ones, compared exactly on the counts b_n.  Polynomial
+    growth halves those increments with n, exponential growth keeps them
+    essentially constant.
     """
 
     horizon: int
@@ -279,7 +304,7 @@ class GrowthEstimate:
 
 # Increment-flatness threshold: Z^d up to d = 4 stays below ~0.63 at any
 # horizon >= 4, the exponential built-ins stay above ~0.79.
-_EVIDENCE_RATIO = 0.7
+_EVIDENCE_RATIO = Fraction(7, 10)
 _EVIDENCE_MIN_HORIZON = 4
 
 
@@ -287,28 +312,34 @@ def growth_rate_upper(table: BallTable, horizon: int) -> GrowthEstimate:
     """Per-n values ln(b_n)/n and their running minimum at the horizon."""
     if not isinstance(horizon, int) or horizon < 1 or horizon > table.max_radius:
         raise RadiusOutOfRange(f"horizon {horizon!r} not in [1, {table.max_radius}]")
-    per_n = tuple(math.log(table.b[n]) / n for n in range(1, horizon + 1))
-    fekete_inf = min(per_n)
-    evidence = False
-    if horizon >= _EVIDENCE_MIN_HORIZON and fekete_inf > 0:
-        # two-step averaged log-increments damp parity wobbles
-        half = math.ceil(horizon / 2)
-        late = (math.log(table.b[horizon]) - math.log(table.b[horizon - 2])) / 2
-        mid = (math.log(table.b[half]) - math.log(table.b[half - 2])) / 2
-        evidence = late > 0 and late >= _EVIDENCE_RATIO * mid
-    return GrowthEstimate(horizon, per_n, fekete_inf, evidence)
+    b = table.b
+    per_n = tuple(math.log(b[n]) / n for n in range(1, horizon + 1))
+    # two-step log-increments, late = ln(b_h / b_(h-2)) and mid =
+    # ln(b_half / b_(half-2)), damp parity wobbles.  late > 0 and
+    # late >= p/q * mid are decided on integers, the latter as
+    # b_h^q b_(half-2)^p >= b_(h-2)^q b_half^p.  fekete_inf > 0 needs no
+    # test: b_1 = 1 means b is constant, and then b_h > b_(h-2) fails.
+    h, half = horizon, (horizon + 1) // 2
+    p, q = _EVIDENCE_RATIO.numerator, _EVIDENCE_RATIO.denominator
+    evidence = (h >= _EVIDENCE_MIN_HORIZON and b[h] > b[h - 2]
+                and b[h] ** q * b[half - 2] ** p >= b[h - 2] ** q * b[half] ** p)
+    return GrowthEstimate(horizon, per_n, min(per_n), evidence)
 
 
 def table_for_volume(group: Group, volume, max_elements: int | None = None,
                      start_radius: int = 4) -> BallTable:
     """Smallest-effort table with b_R > volume (or the group exhausted).
 
-    Doubles the radius until the volume is strictly exceeded, so callers can
+    Grows one search through the radii start_radius, twice that, and so on,
+    and returns the table of the first with b_R > volume, so callers can
     evaluate the growth inverse without guessing a horizon.
     """
     radius = max(1, start_radius)
-    while True:
-        table = enumerate_ball(group, radius, max_elements=max_elements)
-        if table.b[-1] > volume or table.exhausted:
-            return table
-        radius *= 2
+    budget = _search_budget(group, radius, max_elements)
+    for state in _spheres(group, budget):
+        b = state[2]
+        if len(b) - 1 == radius:
+            if b[-1] > volume:
+                break
+            radius *= 2
+    return _table(group, radius, *state)

@@ -158,6 +158,15 @@ class ZPowerD(Group):
             return super()._right_step(g)
         i = moved[0]
         c = g[i]
+        # written out, a step costs about a third of the sliced form
+        if self.d == 1:
+            return lambda x: (x[0] + c,)
+        if self.d == 2:
+            return (lambda x: (x[0] + c, x[1])) if i == 0 else lambda x: (x[0], x[1] + c)
+        if self.d == 3:
+            return (lambda x: (x[0] + c, x[1], x[2]),
+                    lambda x: (x[0], x[1] + c, x[2]),
+                    lambda x: (x[0], x[1], x[2] + c))[i]
         return lambda x: (*x[:i], x[i] + c, *x[i + 1:])
 
     def _inv(self, a):

@@ -7,6 +7,7 @@ import pytest
 
 from cayleyiso.balls import (
     INFINITE,
+    BallTable,
     average_length,
     enumerate_ball,
     growth_rate_upper,
@@ -126,6 +127,34 @@ def test_memory_budget_exceeded():
     assert info.value.last_completed_radius == -1
 
 
+def _budget_outcome(search):
+    """("raise", last completed radius, message) or ("ok", table fields)."""
+    try:
+        t = search()
+    except MemoryBudgetExceeded as exc:
+        return "raise", exc.last_completed_radius, str(exc)
+    return "ok", (t.max_radius, t.elements, t.norm_of, t.b, t.exhausted)
+
+
+@pytest.mark.parametrize("name", KERNEL_GROUPS)
+def test_budget_edges_match_oracle_counts(name):
+    # the budget is checked once per expanded element; the search must still
+    # raise at the first radius whose ball holds more than the budget, and
+    # not at all when every ball up to the radius fits
+    group = KERNEL_GROUPS[name]()
+    _, _, b, _, _ = _oracle_ball(group, 5)
+    full = enumerate_ball(group, 5)
+    for r in range(1, 6):
+        for budget in (b[r] - 1, b[r]):
+            over = next((q for q in range(6) if b[q] > budget), None)
+            outcome = _budget_outcome(lambda: enumerate_ball(group, 5, max_elements=budget))
+            if over is None:
+                assert outcome == _budget_outcome(lambda: full), (r, budget)
+            else:
+                assert outcome[:2] == ("raise", over - 1), (r, budget)
+                assert f"exceeded {budget} elements at radius {over}" in outcome[2]
+
+
 def test_exhausted_finite_group():
     t = enumerate_ball(CyclicStub(4), 5)
     assert t.exhausted
@@ -232,6 +261,45 @@ def test_growth_rate_fekete_bounds_every_term():
     assert est.is_exponential_evidence
 
 
+# is_exponential_evidence at horizons 1..R, computed independently with the
+# float comparison ln(b_h / b_(h-2)) >= 0.7 ln(b_half / b_(half-2)); the
+# horizons of the growth benchmark are among them
+_PINNED_EVIDENCE = {
+    ("z:1", 40): "0" * 40,
+    ("z:2", 64): "0" * 64,
+    ("z:3", 24): "0" * 24,
+    ("z:4", 10): "0" * 10,
+    ("dinf", 40): "0" * 40,
+    ("heis", 20): "00011" + "0" * 15,
+    ("free:2", 9): "000111111",
+    ("free:3", 6): "000111",
+    ("lamplighter", 11): "00001111111",
+}
+
+
+@pytest.mark.parametrize("desc, radius", _PINNED_EVIDENCE)
+def test_growth_evidence_pinned(desc, radius):
+    # heis at 4 and 5 (late/mid 0.731, 0.733) and the lamplighter at 6
+    # (0.737) sit close to the 7/10 threshold
+    t = enumerate_ball(make_group(desc), radius)
+    flags = "".join("01"[growth_rate_upper(t, h).is_exponential_evidence]
+                    for h in range(1, radius + 1))
+    assert flags == _PINNED_EVIDENCE[desc, radius]
+
+
+def test_growth_evidence_exact_at_the_threshold():
+    # b_4 / b_2 = 2^7 and b_2 / b_0 = 2^10: late is exactly 7/10 of mid,
+    # which the integer comparison counts as evidence; one element less is not
+    def table(b):
+        return BallTable(make_group("z:1"), 4, [], {}, b, [], [], False)
+
+    for b4, expected in ((2 ** 17, True), (2 ** 17 - 1, False)):
+        t = table([1, 32, 2 ** 10, 2 ** 12, b4])
+        assert growth_rate_upper(t, 4).is_exponential_evidence is expected
+    est = growth_rate_upper(table([1, 1, 1, 1, 1]), 4)
+    assert est.fekete_inf == 0 and not est.is_exponential_evidence
+
+
 def test_growth_rate_polynomial_no_evidence():
     for desc, radius in (("z:1", 12), ("z:2", 12), ("z:3", 8), ("heis", 8), ("dinf", 12)):
         t = enumerate_ball(make_group(desc), radius)
@@ -246,6 +314,33 @@ def test_table_for_volume():
     assert t.b[-1] > 100
     finite = table_for_volume(CyclicStub(5), 100)
     assert finite.exhausted
+
+
+@pytest.mark.parametrize("name", KERNEL_GROUPS)
+def test_grown_table_for_volume_matches_oracle(name):
+    # table_for_volume grows one search through the doubling radii; the
+    # table it returns must be the oracle's table of its final radius
+    group = KERNEL_GROUPS[name]()
+    _, _, b, s, _ = _oracle_ball(group, 4)
+    # b_R > volume is strict: volumes equal to b_1 and b_2 need the next radius
+    for volume, start in ((0, 1), (b[1] - 1, 1), (b[1], 1), (b[2], 1), (b[2] - 1, 2),
+                          (b[2], 2), (0, 4)):
+        t = table_for_volume(group, volume, start_radius=start)
+        expected = start
+        while b[expected] <= volume and 0 not in s[1:expected + 1]:
+            expected *= 2
+        assert t.max_radius == expected, (volume, start)
+        assert (t.elements, t.norm_of, t.b, t.s, t.length_sum) == _oracle_ball(group, expected)
+        assert t.exhausted == (0 in s[1:expected + 1])
+    # budgets on both sides of every ball size up to B(4), so that some
+    # cross the doubling points 1 and 2: the grown search raises where a
+    # fresh search of the final radius does
+    for r in range(1, 5):
+        for budget in (b[r] - 1, b[r]):
+            grown = _budget_outcome(
+                lambda: table_for_volume(group, b[2], max_elements=budget, start_radius=1))
+            fresh = _budget_outcome(lambda: enumerate_ball(group, 4, max_elements=budget))
+            assert grown == fresh, (r, budget)
 
 
 def test_volume_at_rational_radii():
