@@ -15,7 +15,7 @@ class UnknownKind(CayleyIsoError):
 
 class InvalidParams(CayleyIsoError):
     """Group parameters out of range (e.g. dimension or rank below 1), or
-    generators that repeat or include the identity."""
+    generators that repeat, include the identity or are not symmetric."""
 
 
 class MalformedElement(CayleyIsoError):

@@ -11,43 +11,26 @@ property-tested rather than assumed (see the test suite).
 
 The graph: ``adjacency_index`` builds B(max_size) and the neighbor index
 rows of its inner vertices in one breadth-first search, in the discovery
-order of ``enumerate_ball``.  It rejects generators that repeat or include
-the identity, so every row lists deg distinct vertices other than its own:
-x*g == x*h only for g == h, and x*g == x only for g == e.
+order of ``enumerate_ball``.  It rejects generating sets that repeat, include
+the identity or are not symmetric, so every row lists deg distinct vertices
+other than its own (x*g == x*h only for g == h, and x*g == x only for
+g == e), and y is in the row of x exactly when x is in the row of y.  The
+scan relies on the last when adding a vertex updates the outside-neighbor
+counts of the members in its own row.
 
 Enumeration scheme: grow a connected set one adjacent vertex at a time; when
 a candidate is expanded, all candidates listed before it become permanently
 banned in that branch, which makes every connected superset reachable exactly
 once.  Fresh neighbors of the newly added vertex are explored first.
 
-Leaf bound: sets of the top size k are never expanded, so they are counted
-by arithmetic in the loop of their parent S (|S| = k-1) and scanned only
-when one could set a new minimum.  Adding a vertex v to S changes the
-inner-boundary count by [v keeps an outside neighbor] minus the number of
-members of S adjacent to v whose only outside neighbor was v.  The Cayley
-graph is regular of degree deg with distinct neighbors, so v has at most
-|S| neighbors in S, and the first term is 1 whenever |S| < deg.  The second
-term is at most ones(S), the number of members with exactly one outside
-neighbor.  Every leaf below S therefore has at least
-bcount(S) + [|S| < deg] - ones(S) boundary members.
-When that floor is not below the current minimum, no leaf of S is a strict
-improvement, and the scan of S stops as soon as a leaf reaches the floor.
-Only strict improvements replace the witness, so the first achiever in
-canonical order, and every count and minimum, are those of the full scan.
-
 Two-level count, the step after Redelmeier ("Counting polyominoes: yet
 another attack", Discrete Math. 36, 1981) of counting below the last
-expanded node by arithmetic: a node S with |S| = k-2 handles its children
-S+v (the leaf parents) and the leaves S+v+w below them in one loop, with two
-floors computed once per node.  The child floor bcount(S) + [|S| < deg] -
-ones(S) is the leaf bound one level up.  For the leaf floor, let twos(S) be
-the number of members with one or two outside neighbors.  A member of S
-leaves the boundary only if all its outside neighbors are among the two
-added vertices, so at most twos(S) members do; each added vertex has at most
-|S|+1 neighbors in the final set, as its neighbors are distinct and none is
-the vertex itself, so it keeps an outside neighbor when |S|+1 < deg.  Every
-leaf below S therefore has at least bcount(S) + 2[|S|+1 < deg] - twos(S)
-boundary members.
+expanded node by arithmetic: sets of the top size k are never expanded, and
+a node S with |S| = k-2 handles its children S+v (the leaf parents) and the
+leaves S+v+w below them in one loop.  Child S+v adds one set of size k-1 and
+fresh(v) + (the number of candidates after v) leaves, where fresh(v) counts
+the neighbors of v not yet occupied, read without any write.
+
 Size floor: a member x of a set T is interior only if its closed
 neighborhood N[x] = {x} + {x*g} lies in T; N[x] has deg+1 distinct vertices.
 Let I be the interior members of T and N[I] the union of their closed
@@ -62,28 +45,17 @@ M(s) = max(M(s-1), max_t c(t) + M(s-t)), and at least s - M(s) boundary
 members.  c comes from a complete search of those components up to
 |N[J]| <= k, by the enumeration scheme above on the graph whose edges join
 vertices with meeting closed neighborhoods: N[J] is then connected and holds
-the identity, so it lies in B(k-1), where every row is known.  On symmetric
-rows that graph joins x to the closed neighborhoods of its neighbors; with
-directed rows it would need in-neighbors, so there, and where the search
-would visit more components than the index has vertices (on a path their
-number grows exponentially), the floor keeps only what holds for any rows:
-a set of at most deg vertices has no interior member, and in a set of deg+1
-vertices an interior x has T = N[x], a second interior member y = x*g has
-N[y] = N[x], translated N[g] = N[e], so at most 1 + t members are interior,
-where t is the number of generators g with N[g] = N[e].  At sizes up to
-deg+1 the packing bound gives these same floors.  The floors of all sizes are computed once
-per scan, and each of the two floors of a node is raised to the size floor
-of its size.
-While both floors are at least the current minima of their sizes, no set
-below the remaining children is a strict improvement: child S+v adds one set
-of size k-1 and fresh(v) + (the number of candidates after v) leaves, where
-fresh(v) counts the neighbors of v not yet occupied, read without any write.
-Otherwise the child is peeked: its bcount and ones come from the reads of the
-add step without its writes, a strict improvement at size k-1 is recorded,
-and the child is materialized and its leaves scanned only when its leaf
-bound, raised to the leaf floor of S, is below the leaf minimum.  Counts,
-minima and first achievers stay those of the full scan by the argument
-above.
+the identity, so it lies in B(k-1), where every row is known.  The rows
+are symmetric, so that graph joins x to the closed neighborhoods of its
+neighbors.  Where the search would visit more components than the index
+has vertices (on a path their number grows exponentially), the floor keeps
+only what holds for any rows: a set of at most deg vertices has no interior
+member, and in a set of deg+1 vertices an interior x has T = N[x], a second
+interior member y = x*g has N[y] = N[x], translated N[g] = N[e], so at most
+1 + t members are interior, where t is the number of generators g with
+N[g] = N[e].  At sizes up to deg+1 the packing bound gives these same
+floors.  The floors of all sizes are computed once per scan, and they are
+the scan's only bound.
 
 Settled subtrees: size m is settled once its current minimum is at most its
 size floor, as no set of size m can then be a strict improvement.  Minima
@@ -93,7 +65,13 @@ size above s is settled, no set below the remaining children can change a
 minimum or a witness, and they are counted instead of scanned: a recursion
 that keeps only the occupied vertices and adds one set per child, down to
 the nodes of size k-2, which count their children and leaves by the
-arithmetic above.
+arithmetic above.  While size k-1 is open, a node of size k-2 peeks at each
+child: its bcount comes from the reads of the add step without its writes,
+and a strict improvement at size k-1 is recorded.  The child is
+materialized and its leaves examined only while size k is open, and that
+stops as soon as size k settles.  Only strict improvements replace a
+witness, so the first achiever in canonical order, and every count and
+minimum, are those of the full scan.
 
 Parallel scan, after Mertens and Lautenbacher ("Counting lattice animals: a
 parallel attack", J. Stat. Phys. 66, 1992).  Split: the caller's process
@@ -127,7 +105,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .balls import INFINITE, _budget_exceeded, _checked_sphere_counts, _search_budget
-from .errors import InvalidParams, NoFamilyForKind
+from .errors import BadParams, InvalidParams, NoFamilyForKind
 from .groups import DihedralInfinite, Group, LamplighterZ2, ZPowerD, validate_generators
 from .isoperimetry import FiniteSubset, _check_positive_int
 
@@ -159,11 +137,12 @@ class AdjacencyIndex:
 
     ``elements`` is B(max_size) in the order of :func:`enumerate_ball`.
     ``adj[i]`` lists the indices of ``elements[i] * g`` over the generators
-    g, in generator order; its entries are distinct and differ from i, as
-    the generators are distinct and differ from the identity (see
-    :func:`adjacency_index`).  It is None for vertices on the outermost
-    sphere; those are never expanded because a connected set of size k
-    containing the identity stays inside B(k-1).
+    g, in generator order; its entries are distinct and differ from i, and
+    where both rows are listed, j is in ``adj[i]`` exactly when i is in
+    ``adj[j]``, as the generators are distinct, differ from the identity and
+    include their inverses (see :func:`adjacency_index`).  It is None for
+    vertices on the outermost sphere; those are never expanded because a
+    connected set of size k containing the identity stays inside B(k-1).
     """
 
     elements: list
@@ -180,12 +159,13 @@ def adjacency_index(group: Group, max_size: int,
     :class:`RadiusOutOfRange` and :class:`MemoryBudgetExceeded` as
     :func:`enumerate_ball` under the element budget ``max_elements``.
     Before it searches, it raises :class:`InvalidParams` when
-    :func:`validate_generators` finds a generator repeated or equal to the
-    identity: a row would then repeat an index or contain its own vertex.
+    :func:`validate_generators` finds a problem: a repeated generator or the
+    identity would make a row repeat an index or contain its own vertex, and
+    a generator whose inverse is missing would make the rows asymmetric.
     """
-    problems = {code for code, _ in validate_generators(group).problems}
-    if problems & {"duplicate", "contains-identity"}:
-        raise InvalidParams(f"generators of {group.descriptor} repeat or include the identity")
+    if validate_generators(group).problems:
+        raise InvalidParams(f"generators of {group.descriptor} repeat, include the identity "
+                            f"or are not symmetric")
     budget = _search_budget(group, max_size, max_elements)
     e = group.identity
     elements = [e]
@@ -229,15 +209,14 @@ def _workers() -> int:
 def _size_floors(adj, max_size):
     """Least inner boundary of any set of each size 0..``max_size``, by the
     size floor of the module docstring: s minus the interior packing bound
-    where the rows are symmetric and its search stays within budget, else
-    the floor at deg+1 alone (0 above it)."""
+    where its search stays within budget, else the floor at deg+1 alone (0
+    above it)."""
     root = adj[0]
     deg = len(root)
     floors = list(range(max_size + 1))
     if max_size <= deg:
         return floors
-    # a Cayley graph's rows are symmetric everywhere when they are at vertex 0
-    packing = _interior_packing(adj, max_size) if all(0 in adj[g] for g in root) else None
+    packing = _interior_packing(adj, max_size)
     if packing is not None:
         return [s - m for s, m in enumerate(packing)]
     closed = {0, *root}
@@ -309,13 +288,13 @@ def _scan(adj, max_size, workers=None):
     processes the scan ran in, this one included.
 
     Sets of the top two sizes are handled in the loop of the node two levels
-    above them: counted by arithmetic, and examined only when one of them
-    could set a new minimum.  A subtree whose sizes have all reached their
-    size floors is counted without being examined.  With more than one worker (default: the CPUs
-    of the affinity mask) the tree is split into subtrees that run in forked
-    processes, with the same result (see the module docstring).  The scan
-    stays in this process when ``max_size`` is below 5 or when the process
-    runs other threads.
+    above them: counted by arithmetic, and examined only while their size
+    has not reached its size floor.  A subtree whose sizes have all reached
+    their size floors is counted without being examined.  With more than one
+    worker (default: the CPUs of the affinity mask) the tree is split into
+    subtrees that run in forked processes, with the same result (see the
+    module docstring).  The scan stays in this process when ``max_size`` is
+    below 5 or when the process runs other threads.
     """
     if workers is None:
         workers = _workers()
@@ -325,7 +304,7 @@ def _scan(adj, max_size, workers=None):
     split = _SPLIT_SIZE if parallel and max_size >= _SPLIT_SIZE + 2 else 0
     tasks = []
     run = _enumerator(adj, max_size, split, tasks)
-    count, best, witness = run((), [0], 0, 0, [max_size + 1] * (max_size + 1))
+    count, best, witness = run((), [0], 0, [max_size + 1] * (max_size + 1))
     processes = 1
     if tasks:
         processes = min(workers, len(tasks))
@@ -342,19 +321,18 @@ def _scan(adj, max_size, workers=None):
 
 
 def _enumerator(adj, max_size, split=0, tasks=None):
-    """Return ``run(prefix, cands, bcount, ones, least)``.
+    """Return ``run(prefix, cands, bcount, least)``.
 
     ``run`` enumerates the subtree of the canonical tree below the node whose
     members are ``prefix`` (in the order they were added), whose candidate
-    list is ``cands`` and whose inner boundary has ``bcount`` members,
-    ``ones`` of them with exactly one outside neighbor.  ``least`` seeds
-    the minimum of every size: a set is only recorded when it is strictly
-    below the seed of its size, and ``max_size + 1`` is above any boundary.
-    The root is ``run((), [0], 0, 0, [max_size + 1] * (max_size + 1))``.
-    It returns per-size lists ``(count, best, witness)`` for the sets below
-    the node; ``best`` holds the seed where nothing below it was found.  A
-    node of size ``split`` (0: none) is not expanded; its ``prefix,
-    cands, bcount, ones`` are appended to ``tasks`` instead.
+    list is ``cands`` and whose inner boundary has ``bcount`` members.
+    ``least`` seeds the minimum of every size: a set is only recorded when
+    it is strictly below the seed of its size, and ``max_size + 1`` is above
+    any boundary.  The root is ``run((), [0], 0, [max_size + 1] * (max_size +
+    1))``.  It returns per-size lists ``(count, best, witness)`` for the sets
+    below the node; ``best`` holds the seed where nothing below it was
+    found.  A node of size ``split`` (0: none) is not expanded; its
+    ``prefix, cands, bcount`` are appended to ``tasks`` instead.
     """
     n = len(adj)
     leaf_parent = max_size - 1
@@ -368,11 +346,7 @@ def _enumerator(adj, max_size, split=0, tasks=None):
     deg = len(adj[0])
     # nodes of this size count their two lower levels
     pair_size = max_size - 2
-    outside = 1 if leaf_parent < deg else 0
-    child_outside = 1 if pair_size < deg else 0
     floors = _size_floors(adj, max_size)
-    child_size_floor = floors[leaf_parent]
-    leaf_size_floor = floors[max_size]
     # the largest size whose minimum is above its floor (0: none); every size
     # above it is settled
     open_top = max_size
@@ -383,10 +357,9 @@ def _enumerator(adj, max_size, split=0, tasks=None):
         while open_top and best[open_top] <= floors[open_top]:
             open_top -= 1
 
-    def rec(cands, size, bcount, ones):
-        # ``ones`` is the number of members with exactly one outside neighbor
+    def rec(cands, size, bcount):
         if size == pair_size:
-            pairs(cands, bcount, ones)
+            pairs(cands, bcount)
             return
         nsize = size + 1
         for i, v in enumerate(cands):
@@ -397,24 +370,18 @@ def _enumerator(adj, max_size, split=0, tasks=None):
             av = adj[v]
             od = 0
             bc = bcount
-            o1 = ones
             for u in av:
                 if in_set[u]:
                     d = outdeg[u] - 1
                     outdeg[u] = d
                     if d == 0:
                         bc -= 1
-                        o1 -= 1
-                    elif d == 1:
-                        o1 += 1
                 else:
                     od += 1
             outdeg[v] = od
             in_set[v] = 1
             if od:
                 bc += 1
-                if od == 1:
-                    o1 += 1
             members.append(v)
             count[nsize] += 1
             if bc < best[nsize]:
@@ -426,9 +393,9 @@ def _enumerator(adj, max_size, split=0, tasks=None):
                 for u in new:
                     occupied[u] = 1
                 if nsize == split:
-                    tasks.append((tuple(members), new + cands[i + 1:], bc, o1))
+                    tasks.append((tuple(members), new + cands[i + 1:], bc))
                 else:
-                    rec(new + cands[i + 1:], nsize, bc, o1)
+                    rec(new + cands[i + 1:], nsize, bc)
                 for u in new:
                     occupied[u] = 0
             members.pop()
@@ -463,15 +430,12 @@ def _enumerator(adj, max_size, split=0, tasks=None):
         occ = sum([occupied[u] for w in rest for u in adj[w]])
         count[max_size] += left * (left - 1) // 2 + left * deg - occ
 
-    def pairs(cands, bcount, ones):
+    def pairs(cands, bcount):
         # the leaf parents S+v and the leaves below a node S of size
-        # max_size - 2, counted by arithmetic where the floors allow it
-        twos = ones + [outdeg[u] for u in members].count(2)
-        child_floor = max(bcount + child_outside - ones, child_size_floor)
-        leaf_floor = max(bcount + 2 * outside - twos, leaf_size_floor)
+        # max_size - 2, counted by arithmetic once both sizes are settled
         last = len(cands) - 1
         for i, v in enumerate(cands):
-            if child_floor >= best[leaf_parent] and leaf_floor >= best[max_size]:
+            if open_top <= pair_size:
                 # no set below the remaining children is a strict improvement
                 count_pairs(cands[i:])
                 return
@@ -480,50 +444,39 @@ def _enumerator(adj, max_size, split=0, tasks=None):
             od = 0
             fresh = 0
             bc = bcount
-            o1 = ones
             for u in av:
                 if in_set[u]:
-                    d = outdeg[u]
-                    if d == 1:
+                    if outdeg[u] == 1:
                         bc -= 1
-                        o1 -= 1
-                    elif d == 2:
-                        o1 += 1
                 else:
                     od += 1
                     if not occupied[u]:
                         fresh += 1
             if od:
                 bc += 1
-                if od == 1:
-                    o1 += 1
             count[leaf_parent] += 1
             if bc < best[leaf_parent]:
                 best[leaf_parent] = bc
                 witness[leaf_parent] = (*members, v)
                 settle()
             count[max_size] += fresh + last - i
-            floor = bc + outside - o1
-            if floor < leaf_floor:
-                floor = leaf_floor
-            if floor < best[max_size]:
+            if open_top == max_size:
                 for u in av:
                     if in_set[u]:
                         outdeg[u] -= 1
                 outdeg[v] = od
                 in_set[v] = 1
                 members.append(v)
-                leaves = [u for u in av if not occupied[u]] + cands[i + 1:]
-                scan_leaves(leaves, bc, floor)
+                scan_leaves([u for u in av if not occupied[u]] + cands[i + 1:], bc)
                 members.pop()
                 in_set[v] = 0
                 for u in av:
                     if in_set[u]:
                         outdeg[u] += 1
 
-    def scan_leaves(leaves, bc, floor):
+    def scan_leaves(leaves, bc):
         # record the least leaf members + [w] below a leaf parent with ``bc``
-        # boundary members; stop once a leaf reaches ``floor``
+        # boundary members; stop once that leaf settles size max_size
         least = best[max_size]
         for w in leaves:
             b = bc
@@ -539,13 +492,13 @@ def _enumerator(adj, max_size, split=0, tasks=None):
             if b < least:
                 least = b
                 witness[max_size] = (*members, w)
-                if b <= floor:
+                if b <= floors[max_size]:
                     break
         if least < best[max_size]:
             best[max_size] = least
             settle()
 
-    def run(prefix, cands, bcount, ones, least):
+    def run(prefix, cands, bcount, least):
         nonlocal open_top
         count[:] = [0] * (max_size + 1)
         best[:] = least
@@ -566,7 +519,7 @@ def _enumerator(adj, max_size, split=0, tasks=None):
             outdeg[v] = od
             in_set[v] = 1
             members.append(v)
-        rec(cands, len(prefix), bcount, ones)
+        rec(cands, len(prefix), bcount)
         for v in prefix:
             in_set[v] = 0
             for u in adj[v]:
@@ -583,8 +536,8 @@ def _run_share(run, share, max_size):
     every size found in the tasks before it."""
     results = []
     least = [max_size + 1] * (max_size + 1)
-    for prefix, cands, bcount, ones in share:
-        result = run(prefix, cands, bcount, ones, least)
+    for prefix, cands, bcount in share:
+        result = run(prefix, cands, bcount, least)
         least = result[1]
         results.append(result)
     return results
@@ -669,11 +622,18 @@ class MinRatioTable:
     index: AdjacencyIndex
 
     def min_ratio(self, size: int) -> Fraction:
-        return Fraction(self.min_boundary[size], size)
+        return Fraction(self.min_boundary[self._scanned(size)], size)
 
     def witness_subset(self, size: int) -> FiniteSubset:
-        elems = [self.index.elements[i] for i in self.witness[size]]
+        elems = [self.index.elements[i] for i in self.witness[self._scanned(size)]]
         return FiniteSubset(self.group, elems)
+
+    def _scanned(self, size):
+        """``size``; :class:`BadParams` unless the table has sets of that size."""
+        _check_positive_int(size, "size")
+        if size > self.max_size or not self.count[size]:
+            raise BadParams(f"the table up to size {self.max_size} has no sets of size {size}")
+        return size
 
 
 _scan_cache: dict = {}

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from cayleyiso import folner
 from cayleyiso.balls import INFINITE, enumerate_ball
 from cayleyiso.constants import BallSubsetsScope, CscBound, certify_at_scale
 from cayleyiso.errors import BadParams, InvalidParams, MemoryBudgetExceeded, NoFamilyForKind
@@ -30,7 +31,14 @@ from cayleyiso.folner import (
 from cayleyiso.groups import make_group
 from cayleyiso.isoperimetry import FiniteSubset, boundary_ratio
 
-from conftest import BUILTIN_DESCRIPTORS, KERNEL_GROUPS, _DoubledLine, _LoopedLine
+from conftest import (
+    BUILTIN_DESCRIPTORS,
+    KERNEL_GROUPS,
+    CyclicStub,
+    _DoubledLine,
+    _LoopedLine,
+    _OneWayCycle,
+)
 
 
 # ------------------------------------------------------- connected_subsets
@@ -170,31 +178,43 @@ def test_connected_counts_known_sequences():
     assert line.count == [0] + list(range(1, 11))
 
 
-def test_min_ratio_witness_attains_minimum():
-    # every built-in group, each against connected_subsets, a plain
+def test_min_ratio_witness_attains_minimum(monkeypatch):
+    # every group the scan accepts, each against connected_subsets, a plain
     # enumerator that shares no code with the scan's kernel and yields every
-    # set; on lamplighter nearly every leaf parent is counted only, on z:2
-    # and heis at size 7 leaf parents are peeked and skipped as well as
-    # materialized
-    sizes = {"z:1": 6, "z:2": 7, "dinf": 6, "free:2": 5, "heis": 7, "lamplighter": 6}
-    for desc in BUILTIN_DESCRIPTORS:
-        group = make_group(desc)
-        size = sizes[desc]
+    # set; on lamplighter nearly every leaf parent is counted only, and on
+    # z:1 and dinf from size 6 on the packing search gives up and the floors
+    # above size 3 are 0, so those sizes never settle and every leaf is
+    # examined
+    sizes = {"z:1": 9, "dinf": 9, "free:2": 5, "lamplighter": 6, "z:3": 6, "free:3": 6}
+    for name in SCANNED_GROUPS:
+        group = KERNEL_GROUPS[name]()
+        size = sizes.get(name, 7)
         table = min_ratio_table(group, size)
         # the witness is the first set in canonical order attaining the minimum
-        first = {}
+        first = [None] * (size + 1)
+        least = [None] * (size + 1)
         count = [0] * (size + 1)
         for subset in connected_subsets(group, size):
             m = len(subset)
+            b = len(subset.boundary_set())
             count[m] += 1
-            if m not in first and len(subset.boundary_set()) == table.min_boundary[m]:
+            if least[m] is None or b < least[m]:
+                least[m] = b
                 first[m] = subset.elements
-        assert table.count == count
+        assert (table.count, table.min_boundary) == (count, least), name
         for m in range(1, size + 1):
+            if not count[m]:  # the cyclic stub has 5 elements
+                continue
             witness = table.witness_subset(m)
             assert len(witness) == m
             assert boundary_ratio(witness) == table.min_ratio(m)
             assert witness.elements == first[m]
+        # floors of 0 hold for any set; with them a size settles only at
+        # minimum 0, so every leaf is examined, and the results must not move
+        with monkeypatch.context() as patch:
+            patch.setattr(folner, "_size_floors", lambda adj, k: [0] * (k + 1))
+            examined = _scan(table.index.adj, size, workers=1)[:3]
+        assert examined == (table.count, table.min_boundary, table.witness), name
 
 
 def _grown_connected_sets(root, neighbors, size):
@@ -236,15 +256,16 @@ def test_scan_matches_grown_sets(desc, size):
     # so a floor above some minimizer's boundary would lose the minimum
     run = _enumerator(index.adj, size)
     unseeded = [size + 1] * size
-    _, seeded_best, seeded_witness = run((), [0], 0, 0, unseeded + [min_boundary[size] + 1])
+    _, seeded_best, seeded_witness = run((), [0], 0, unseeded + [min_boundary[size] + 1])
     assert seeded_best[size] == min_boundary[size]
     assert seeded_witness[size] == witness[size]
     # every smaller size seeded just above its minimum and the leaf at
-    # exactly its minimum: the child floor now decides from the first node
-    # on, so a child floor above some minimizer's boundary would lose that
-    # size's minimum or its first achiever
+    # exactly its minimum: where that is the leaf's size floor, leaf parents
+    # are peeked and never materialized from the first node on, so a skipped
+    # minimizer of the leaf parents' size would lose that size's minimum or
+    # its first achiever
     least = [size + 1] + [b + 1 for b in min_boundary[1:size]] + [min_boundary[size]]
-    seeded_count, seeded_best, seeded_witness = run((), [0], 0, 0, least)
+    seeded_count, seeded_best, seeded_witness = run((), [0], 0, least)
     assert seeded_count == count
     assert seeded_best[1:size] == min_boundary[1:size]
     assert seeded_witness[:size] == witness[:size]
@@ -253,7 +274,7 @@ def test_scan_matches_grown_sets(desc, size):
 def test_scan_on_circulants_matches_grown_sets():
     # circulants, the Cayley graphs of Z/n with a symmetric step set: finite
     # dense graphs where large sets have small or empty boundaries; with the
-    # leaf minimum seeded just above the true one, a leaf floor above some
+    # leaf minimum seeded just above the true one, a size floor above some
     # minimizer's boundary would lose the minimum
     for n in range(5, 10):
         for adj in _circulants(n):
@@ -269,7 +290,7 @@ def test_scan_on_circulants_matches_grown_sets():
                 assert (got_count, got_min) == (count, min_boundary), adj[0]
             if min_boundary[size] is not None:
                 run = _enumerator(adj, size)
-                seeded = run((), [0], 0, 0, [size + 1] * size + [min_boundary[size] + 1])
+                seeded = run((), [0], 0, [size + 1] * size + [min_boundary[size] + 1])
                 assert seeded[1][size] == min_boundary[size], adj[0]
 
 
@@ -289,7 +310,8 @@ def _row_boundary(adj, members):
 # ------------------------------------------ size floors and settled subtrees
 
 # the kernel groups whose generating sets the scan accepts
-SCANNED_GROUPS = [name for name in KERNEL_GROUPS if name not in ("doubled-line", "looped-line")]
+SCANNED_GROUPS = [name for name in KERNEL_GROUPS
+                  if name not in ("doubled-line", "looped-line", "one-way-cycle")]
 # the largest size at which a group's sets are enumerated one at a time; at
 # size 7 these have 0.2-0.9 million sets, and the lamplighter (degree 8) no
 # interior member
@@ -378,7 +400,7 @@ def test_counts_only_path_counts_every_set(name):
     for size in range(1, 8):
         adj = adjacency_index(group, size).adj
         run = _enumerator(adj, size)
-        counted, best, witness = run((), [0], 0, 0, [0] * (size + 1))
+        counted, best, witness = run((), [0], 0, [0] * (size + 1))
         assert counted == _scan(adj, size, workers=1)[0], size
         if size < len(count):
             assert counted == count[:size + 1], size
@@ -394,7 +416,7 @@ def test_later_tasks_settle_on_carried_minima():
     adj = adjacency_index(make_group("heis"), size).adj
     tasks = []
     run = _enumerator(adj, size, 3, tasks)
-    run((), [0], 0, 0, [size + 1] * (size + 1))
+    run((), [0], 0, [size + 1] * (size + 1))
     carried = _run_share(run, tasks, size)
     seed = [size + 1] * (size + 1)
     settled = 0
@@ -437,23 +459,40 @@ def test_adjacency_index_matches_ball_and_checked_mul(desc):
             assert errors[0] == errors[1]
 
 
-@pytest.mark.parametrize("group_type", [_DoubledLine, _LoopedLine])
+@pytest.mark.parametrize("group_type", [_DoubledLine, _LoopedLine, _OneWayCycle])
 def test_adjacency_index_rejects_repeated_or_identity_generators(group_type):
-    # a repeated neighbor would be counted once per repeat, and the floors
-    # assume distinct neighbors other than the vertex itself
+    # a repeated neighbor would be counted once per repeat, the floors
+    # assume distinct neighbors other than the vertex itself, and the scan's
+    # boundary updates assume symmetric rows: on the one-way cycle they gave
+    # the whole group 3 boundary members where it has none
     group = group_type()
     for size, budget in ((4, None), (0, None), (4, 0), (4, 2)):
         # at every size, and before the element budget can run out
-        with pytest.raises(InvalidParams, match="repeat or include the identity"):
+        with pytest.raises(InvalidParams,
+                           match="repeat, include the identity or are not symmetric"):
             adjacency_index(group, size, max_elements=budget)
-    # the real line has the same descriptor; its memoized scan must not answer
-    min_ratio_table(make_group("z:1"), 4)
+    # the group of the same descriptor with a valid generating set; its
+    # memoized scan must not answer
+    min_ratio_table(CyclicStub(7) if group_type is _OneWayCycle else make_group("z:1"), 4)
     with pytest.raises(InvalidParams):
         min_ratio_table(group, 4)
     with pytest.raises(InvalidParams):
         list(connected_subsets(group, 4))
     with pytest.raises(InvalidParams):
         certify_at_scale(group, CscBound(Fraction(1, 4), Fraction(1)), BallSubsetsScope(1))
+
+
+def test_min_ratio_table_accessors_reject_sizes_without_sets():
+    # a size outside 1..max_size, or one with no sets, has no minimum or
+    # witness; Python indexing would read -1 as the top size
+    line = min_ratio_table(make_group("z:1"), 5)
+    stub = min_ratio_table(CyclicStub(5), 7)  # 5 elements: no sets of size 6 or 7
+    for table, size in ((line, -1), (line, 0), (line, 6), (line, 1.5), (stub, 6), (stub, 7)):
+        for accessor in (table.min_ratio, table.witness_subset):
+            with pytest.raises(BadParams):
+                accessor(size)
+    assert line.min_ratio(5) == Fraction(2, 5)
+    assert stub.min_ratio(5) == 0 and len(stub.witness_subset(5)) == 5
 
 
 def test_min_ratio_line_values():
