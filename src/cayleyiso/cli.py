@@ -4,16 +4,19 @@ Subcommands mirror the library: ``growth``, ``phi``, ``avg-length``,
 ``boundary``, ``check``, ``transport``, ``folner``, ``convert``, ``certify``,
 ``quotient`` and ``suite``.  ``convert`` and ``quotient`` print JSON only
 and take no ``--format``.  Every rational parameter is parsed exactly from
-``p/q`` or integer syntax.  Exit codes: 0 on success (and on every check that
-holds), 2 when a mathematical check is falsified (the witness is printed),
-1 on usage or resource errors.
+``p/q`` or integer syntax.  ``phi`` and ``check`` grow their ball table
+until it decides the growth inverse, so they take no radius.  Exit codes: 0
+on success (and on every check that holds), 2 when a mathematical check is
+falsified (the witness is printed), 1 on usage or resource errors.
 
 Subsets are given as ``--omega a..b`` (an integer interval, z:1 only) or as
 ``--omega-file`` with one canonical element key per line.  The memory budget
 (maximum enumerated elements) comes from ``--memory-budget``, else the
 ``CAYLEYISO_MEMORY_BUDGET`` environment variable, else a built-in default.
-Connected-subset scans run on every CPU of the process's affinity mask (limit
-them with ``taskset``); their results do not depend on the number of CPUs.
+It bounds every ball and scan graph, and the |W| |B(r)| pairs a
+``transport`` ledger iterates.  Connected-subset scans run on every CPU of
+the process's affinity mask (limit them with ``taskset``); their results do
+not depend on the number of CPUs.
 """
 
 from __future__ import annotations
@@ -96,7 +99,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("phi", help="growth inverse: least r with |B(r)| > v")
     common(p)
     p.add_argument("--volume", type=_rational, required=True)
-    p.add_argument("--radius", type=int, default=None, help="fixed table horizon (default: grow as needed)")
 
     p = sub.add_parser("avg-length", help="average word norm over B(r), exact")
     common(p)
@@ -110,17 +112,12 @@ def build_parser() -> _Parser:
     p.add_argument("--form", choices=FORMS, required=True)
     p.add_argument("--alpha", type=_rational, default=None)
     p.add_argument("--eps", type=_rational, default=None)
-    p.add_argument("--radius", type=int, default=None, help="fixed table horizon (default: grow as needed)")
 
     p = sub.add_parser("transport", help="build a transport ledger and verify counting lemmas")
     common(p, omega=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--lemma", choices=LEMMAS + ("all",), default="all")
     p.add_argument("--alpha", type=_rational, default=None)
-    p.add_argument("--size-cap", type=_positive_int, default=64,
-                   help="largest |omega| the ledger will iterate")
-    p.add_argument("--radius-cap", type=_positive_int, default=6,
-                   help="largest ledger radius allowed")
 
     p = sub.add_parser("folner", help="exact Folner value by exhaustive connected search")
     common(p)
@@ -231,10 +228,7 @@ def _cmd_growth(args) -> int:
 
 def _cmd_phi(args) -> int:
     group = make_group(args.group)
-    if args.radius is not None:
-        table = enumerate_ball(group, args.radius, max_elements=_budget(args))
-    else:
-        table = table_for_volume(group, args.volume, max_elements=_budget(args))
+    table = table_for_volume(group, args.volume, max_elements=_budget(args))
     value = phi(table, args.volume)
     text = "infinite" if value is INFINITE else str(value)
     if args.format == "json":
@@ -278,11 +272,8 @@ def _cmd_boundary(args) -> int:
 def _cmd_check(args) -> int:
     group = make_group(args.group)
     omega = _parse_omega(group, args)
-    if args.radius is not None:
-        table = enumerate_ball(group, args.radius, max_elements=_budget(args))
-    else:
-        volume = inequality_volume(args.form, len(omega), alpha=args.alpha, eps=args.eps)
-        table = table_for_volume(group, volume, max_elements=_budget(args))
+    volume = inequality_volume(args.form, len(omega), alpha=args.alpha, eps=args.eps)
+    table = table_for_volume(group, volume, max_elements=_budget(args))
     report = check_inequality(omega, table, args.form, alpha=args.alpha, eps=args.eps)
     if args.format == "json":
         _emit(args, _json(report.to_json_dict()))
@@ -301,14 +292,14 @@ def _cmd_check(args) -> int:
 def _cmd_transport(args) -> int:
     group = make_group(args.group)
     omega = _parse_omega(group, args)
+    budget = _budget(args)
     if args.alpha is None:
-        table = enumerate_ball(group, args.r, max_elements=_budget(args))
+        table = enumerate_ball(group, args.r, max_elements=budget)
     else:
         # the alpha lemmas evaluate the growth inverse at (1+alpha)|W|
         table = table_for_volume(group, (1 + args.alpha) * len(omega),
-                                 max_elements=_budget(args), start_radius=args.r)
-    ledger = build_ledger(omega, table, args.r,
-                          size_cap=args.size_cap, radius_cap=args.radius_cap)
+                                 max_elements=budget, start_radius=args.r)
+    ledger = build_ledger(omega, table, args.r, max_elements=budget)
     if args.lemma == "all":
         lemmas = ["transport", "counting", "fiber", "spheres", "balls"]
         if args.alpha is not None:
@@ -470,11 +461,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return _COMMANDS[args.command](args)
-    except CayleyIsoError as exc:
+    except (CayleyIsoError, OSError) as exc:
         sys.stderr.write(f"cayleyiso {args.command}: error: {exc}\n")
-        return 1
-    except OSError as exc:
-        sys.stderr.write(f"cayleyiso {args.command}: {exc}\n")
         return 1
 
 

@@ -28,7 +28,7 @@ from .balls import INFINITE, BallTable, _search_budget, growth_rate_upper, phi, 
 from .errors import BadParams, EmptyGeneratingSet, InsufficientData, NotApplicable
 from .folner import LowerBound, adjacency_index, min_ratio_table
 from .groups import Group
-from .isoperimetry import FiniteSubset, _as_fraction, _exact_alpha
+from .isoperimetry import FiniteSubset, _as_fraction, _check_same_group, _exact_alpha
 
 __all__ = [
     "CscBound",
@@ -369,6 +369,7 @@ def quotient_estimate(group: Group, horizon: int, records, table: BallTable) -> 
     (NotApplicable otherwise) and at least one record in the back-half window
     (InsufficientData otherwise).
     """
+    _check_same_group(group, table.group, "ball table")
     growth = growth_rate_upper(table, horizon)
     if not growth.is_exponential_evidence:
         raise NotApplicable(

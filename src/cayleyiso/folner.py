@@ -50,11 +50,8 @@ are symmetric, so that graph joins x to the closed neighborhoods of its
 neighbors.  Where the search would visit more components than the index
 has vertices (on a path their number grows exponentially), the floor keeps
 only what holds for any rows: a set of at most deg vertices has no interior
-member, and in a set of deg+1 vertices an interior x has T = N[x], a second
-interior member y = x*g has N[y] = N[x], translated N[g] = N[e], so at most
-1 + t members are interior, where t is the number of generators g with
-N[g] = N[e].  At sizes up to deg+1 the packing bound gives these same
-floors.  The floors of all sizes are computed once per scan, and they are
+member, so its floor is its size, and every larger size gets the trivial
+floor 0.  The floors of all sizes are computed once per scan, and they are
 the scan's only bound.
 
 Settled subtrees: size m is settled once its current minimum is at most its
@@ -209,19 +206,15 @@ def _workers() -> int:
 def _size_floors(adj, max_size):
     """Least inner boundary of any set of each size 0..``max_size``, by the
     size floor of the module docstring: s minus the interior packing bound
-    where its search stays within budget, else the floor at deg+1 alone (0
-    above it)."""
-    root = adj[0]
-    deg = len(root)
+    where its search stays within budget, else s up to deg and 0 above."""
+    deg = len(adj[0])
     floors = list(range(max_size + 1))
     if max_size <= deg:
         return floors
     packing = _interior_packing(adj, max_size)
-    if packing is not None:
-        return [s - m for s, m in enumerate(packing)]
-    closed = {0, *root}
-    interior = 1 + sum(1 for g in root if {g, *adj[g]} == closed)
-    return floors[:deg + 1] + [deg + 1 - interior] + [0] * (max_size - deg - 1)
+    if packing is None:
+        return floors[:deg + 1] + [0] * (max_size - deg)
+    return [s - m for s, m in enumerate(packing)]
 
 
 def _interior_packing(adj, max_size):

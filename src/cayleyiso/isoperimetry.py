@@ -122,8 +122,7 @@ class FiniteSubset:
 
 def boundary(group: Group, omega: FiniteSubset) -> FiniteSubset:
     """Inner boundary: elements of W with a right generator-neighbor outside W."""
-    if omega.group != group:
-        raise MalformedElement("subset belongs to a different group")
+    _check_same_group(group, omega.group, "subset")
     return FiniteSubset(group, omega.boundary_set())
 
 
@@ -183,6 +182,16 @@ def _check_positive_int(value, name: str) -> None:
         raise BadParams(f"{name} must be a positive integer, got {value!r}")
 
 
+def _check_same_group(group: Group, other: Group, what: str) -> None:
+    """Raise :class:`MalformedElement` unless ``what``, an input of group
+    ``other``, belongs to ``group``: a table or subset of another group would
+    be read with the wrong norms and products."""
+    # ``is`` first: callers nearly always share one group object, and ``!=``
+    # is a Python-level call on every inequality check
+    if other is not group and other != group:
+        raise MalformedElement(f"{what} belongs to {other.descriptor}, not {group.descriptor}")
+
+
 def inequality_volume(form: str, size: int, alpha=None, eps=None):
     """Volume at which ``form`` evaluates Phi for a subset of cardinality ``size``.
 
@@ -232,6 +241,7 @@ def inequality_rhs(table: BallTable, form: str, size: int, alpha=None, eps=None)
 def check_inequality(omega: FiniteSubset, table: BallTable, form: str,
                      alpha=None, eps=None) -> InequalityReport:
     """Evaluate one inequality form on a concrete subset, exactly."""
+    _check_same_group(omega.group, table.group, "ball table")
     lhs = boundary_ratio(omega)
     # converted once; the checks below pass the Fraction through unchanged
     params = {}

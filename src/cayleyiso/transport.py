@@ -43,16 +43,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .balls import INFINITE, BallTable, _degree_bound_violation, phi
+from .balls import INFINITE, BallTable, _degree_bound_violation, _search_budget, phi
 from .errors import (
     BadParams,
     EmptySet,
     ExitNotFound,
     HorizonExceeded,
-    MalformedElement,
     PreconditionUnmet,
 )
-from .isoperimetry import FiniteSubset, _check_positive_int, _exact_alpha
+from .isoperimetry import FiniteSubset, _check_positive_int, _check_same_group, _exact_alpha
 
 __all__ = [
     "GeodesicWord",
@@ -140,30 +139,28 @@ class TransportLedger:
 
 
 def build_ledger(omega: FiniteSubset, table: BallTable, r: int,
-                 size_cap: int = 64, radius_cap: int = 6) -> TransportLedger:
+                 max_elements: int | None = None) -> TransportLedger:
     """Populate W_g, rays and exit fibers by iterating W x B(r) exhaustively.
 
-    The iteration is |W| x |B(r)|, so default caps keep accidental requests
-    desk-sized; raise ``size_cap`` / ``radius_cap`` explicitly for more.
+    The iteration visits the |W| |B(r)| pairs (x, g) once each.  That count
+    is held to the element budget ``max_elements`` (None for the default of
+    :func:`enumerate_ball`): a ledger with more pairs raises
+    :class:`BadParams` before its loops start.
     """
     if not omega.elements:
         raise EmptySet("transport ledger needs a non-empty subset")
     _check_positive_int(r, "radius")
-    if len(omega) > size_cap:
-        raise BadParams(
-            f"|W| = {len(omega)} exceeds the ledger size cap {size_cap}; "
-            f"pass size_cap explicitly to go bigger"
-        )
-    if r > radius_cap:
-        raise BadParams(
-            f"radius {r} exceeds the ledger radius cap {radius_cap}; "
-            f"pass radius_cap explicitly to go bigger"
-        )
     if r > table.max_radius:
         raise HorizonExceeded(f"ledger radius {r} beyond table horizon {table.max_radius}")
     group = omega.group
-    if table.group != group:
-        raise MalformedElement("subset and ball table belong to different groups")
+    _check_same_group(group, table.group, "ball table")
+    budget = _search_budget(group, r, max_elements)
+    pairs = len(omega) * table.b[r]
+    if pairs > budget:
+        raise BadParams(
+            f"the ledger has |W| |B({r})| = {len(omega)} * {table.b[r]} = {pairs} "
+            f"pairs, over the element budget of {budget}"
+        )
     inside = omega.elements
     boundary = omega.boundary_set()
     norm_of = table.norm_of

@@ -1,9 +1,22 @@
+import argparse
+import contextlib
+import io
 import json
+import os
+import shlex
 import sys
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cayleyiso.cli import main
+from cayleyiso.balls import enumerate_ball
+from cayleyiso.cli import build_parser, main
+from cayleyiso.groups import make_group
+from cayleyiso.isoperimetry import FORMS
+from cayleyiso.transport import LEMMAS
 
 
 def run(capsys, argv):
@@ -111,11 +124,17 @@ def test_phi_rational_volume(capsys):
     assert json.loads(out)["phi"] == "2"
 
 
-def test_phi_horizon_error(capsys):
-    code, _, err = run(capsys, ["phi", "--group", "z:1", "--volume", "100",
-                                "--radius", "3"])
-    assert code == 1
-    assert "enlarge" in err
+@pytest.mark.parametrize("command", ["phi", "check"])
+def test_phi_and_check_take_no_radius(capsys, command):
+    # both grow their table until it decides the growth inverse
+    code, out, _ = run(capsys, [command, "--help"])
+    assert code == 0
+    assert "--radius" not in out
+    argv = {"phi": ["phi", "--group", "z:1", "--volume", "100"],
+            "check": ["check", "--group", "z:1", "--form", "pete-correia", "--omega", "0..9"]}
+    code, out, err = run(capsys, argv[command] + ["--radius", "3"])
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --radius 3" in err
 
 
 def test_avg_length(capsys):
@@ -153,6 +172,14 @@ def test_boundary_file_not_utf8(capsys, tmp_path):
     assert out == ""
     assert err.startswith("cayleyiso boundary: error: ")
     assert "not UTF-8" in err
+
+
+def test_unreadable_omega_file_is_an_error_line(capsys, tmp_path):
+    for path, reason in ((tmp_path / "missing", "No such file"), (tmp_path, "Is a directory")):
+        code, out, err = run(capsys, ["boundary", "--group", "z:1", "--omega-file", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("cayleyiso boundary: error: [Errno ")
+        assert reason in err
 
 
 def test_boundary_range_rejected_off_line(capsys):
@@ -236,6 +263,34 @@ def test_transport_precondition_reported_not_dropped(capsys):
     assert results["ray-lower"]["holds"] == "precondition-unmet"
     assert results["conclude"]["holds"] == "precondition-unmet"
     assert results["counting"]["holds"] is True
+
+
+def test_transport_past_the_old_ledger_caps(capsys):
+    # |W| = 101 and r = 7 each fit the default element budget
+    for omega, r, rays in (("0..100", "1", "2"), ("0..0", "7", "14")):
+        code, out, _ = run(capsys, ["transport", "--group", "z:1", "--omega", omega,
+                                    "--r", r, "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["sum_rays"] == int(rays)
+
+
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_memory_budget_reaches_ledger(capsys, monkeypatch, via):
+    # B(2) has 5 elements, so the table fits; the ledger has 10 * 5 = 50 pairs
+    argv = ["transport", "--group", "z:1", "--omega", "0..9", "--r", "2"]
+
+    def run_with(budget):
+        if via == "flag":
+            return run(capsys, argv + ["--memory-budget", budget])
+        monkeypatch.setenv("CAYLEYISO_MEMORY_BUDGET", budget)
+        return run(capsys, argv)
+
+    code, out, err = run_with("49")
+    assert (code, out) == (1, "")
+    assert err == ("cayleyiso transport: error: the ledger has |W| |B(2)| = 10 * 5 = 50 "
+                   "pairs, over the element budget of 49\n")
+    code, _, err = run_with("50")
+    assert (code, err) == (0, "")
 
 
 def test_transport_radius_zero_with_alpha_is_usage_error(capsys):
@@ -383,3 +438,137 @@ def test_decimal_rational_parsed_exactly(capsys):
     code, out, _ = run(capsys, ["phi", "--group", "z:1", "--volume", "4.5"])
     assert code == 0
     assert out.strip() == "2"
+
+
+# ------------------------------------------------------- exit-code fuzzing
+
+_FUZZED = ("growth", "phi", "avg-length", "boundary", "check", "transport", "convert",
+           "certify")
+
+_DESCRIPTORS = ("z:1", "z:2", "z:3", "free:1", "free:2", "free:3", "dinf", "heis",
+                "lamplighter")
+_JUNK = st.sampled_from(["", "x", "--", "1/0", "nan", "inf", "1e", "1/2/3", "0x10"])
+_SMALL_INTS = st.integers(-3, 6).map(str)
+
+
+def _mostly(valid, bad=_JUNK):
+    """``valid`` four times in five, else ``bad``, so that most runs get past
+    parsing to the library."""
+    return st.integers(0, 4).flatmap(lambda i: bad if i == 0 else valid)
+
+
+def _rationals(top):
+    return _mostly(st.one_of(
+        st.integers(-3, top).map(str),
+        st.builds("{}/{}".format, st.integers(-3, 6), st.integers(-2, 6)),
+        st.sampled_from(["0.5", "-1.25", "2.0"]),
+    ))
+
+
+@pytest.fixture(scope="module")
+def omega_files(tmp_path_factory):
+    """Paths of subset files: one of valid keys per built-in group, each
+    wrong-group for the others, plus malformed, duplicate, empty, non-UTF-8,
+    missing and directory paths."""
+    root = tmp_path_factory.mktemp("omega")
+    contents = {"empty": "", "blank": "\n  \n", "malformed": "1,2,3\nx;\n",
+                "duplicate": "0\n0\n1\n"}
+    for desc in _DESCRIPTORS:
+        group = make_group(desc)
+        contents[desc] = "".join(group.format_element(x) + "\n"
+                                 for x in enumerate_ball(group, 1).elements[:4])
+    paths = []
+    for name, text in contents.items():
+        path = root / name.replace(":", "_")
+        path.write_text(text)
+        paths.append(str(path))
+    (root / "binary").write_bytes(b"\xff\xfe")
+    return paths + [str(root / "binary"), str(root / "missing"), str(root)]
+
+
+def _values(omega_files):
+    """A value strategy per option of the fuzzed subcommands."""
+    return {
+        "--group": _mostly(st.sampled_from(_DESCRIPTORS), st.sampled_from(
+            ["z:0", "z:-1", "z:x", "free:", "heis:2", "bogus", "Z:1", ""])),
+        "--format": _mostly(st.sampled_from(["csv", "json"])),
+        "--memory-budget": _mostly(st.integers(-3, 10**5).map(str)),
+        "--omega": _mostly(st.builds("{}..{}".format, _SMALL_INTS, _SMALL_INTS)),
+        "--omega-file": st.sampled_from(omega_files),
+        "--radius": _mostly(_SMALL_INTS),
+        "--r": _mostly(_SMALL_INTS),
+        "--volume": _rationals(10**4),
+        "--form": _mostly(st.sampled_from(FORMS)),
+        "--alpha": _rationals(6),
+        "--eps": _rationals(6),
+        "--lemma": _mostly(st.sampled_from(LEMMAS + ("all",))),
+        "--direction": _mostly(st.sampled_from(["csc-to-folner", "folner-to-csc"])),
+        "--c": _rationals(6),
+        "--rho": _rationals(6),
+        "--s-size": _mostly(_SMALL_INTS),
+        # b2 only: a connected scope would start a scan
+        "--scope": _mostly(st.just("b2"), st.sampled_from(["b3", "connected:", "all", ""])),
+    }
+
+
+def _options(command):
+    """The ``(flag, required)`` pairs of a subcommand, read off the parser;
+    ``--output`` is left out so no run writes a file."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[command]
+    return [(a.option_strings[-1], a.required) for a in sub._actions
+            if a.option_strings and a.dest not in ("help", "output")]
+
+
+def test_fuzzed_options_all_have_values(omega_files):
+    values = _values(omega_files)
+    for command in _FUZZED:
+        assert {flag for flag, _ in _options(command)} <= set(values), command
+
+
+@st.composite
+def _argv(draw, values):
+    command = draw(st.sampled_from(_FUZZED))
+    argv = [command]
+    for flag, required in draw(st.permutations(_options(command))):
+        # a required option is left out now and then, to reach the usage errors
+        if draw(st.integers(0, 9)) < (9 if required else 4):
+            argv += [flag, draw(values[flag])]
+    return argv
+
+
+_ENV_BUDGETS = st.one_of(st.none(), st.integers(1, 10**5).map(str),
+                         st.sampled_from(["0", "-5", "abc", "1.5", "1e3", " ", "5 5"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_exit_codes_under_fuzzed_arguments(omega_files, data):
+    argv = data.draw(_argv(_values(omega_files)), label="argv")
+    budget = data.draw(_ENV_BUDGETS, label="CAYLEYISO_MEMORY_BUDGET")
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        os.environ.pop("CAYLEYISO_MEMORY_BUDGET", None)
+        if budget is not None:
+            os.environ["CAYLEYISO_MEMORY_BUDGET"] = budget
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 1:
+        assert "error:" in err
+
+
+def test_readme_cli_lines_exit_0(capsys):
+    # every documented invocation runs, so no removed flag stays in the docs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("cayleyiso ")]
+    assert len(lines) == 11
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        if argv[0] == "suite":
+            continue
+        code, _, err = run(capsys, argv)
+        assert (code, err) == (0, ""), line

@@ -19,6 +19,7 @@ from cayleyiso.errors import (
     BadParams,
     EmptyGeneratingSet,
     InsufficientData,
+    MalformedElement,
     NotApplicable,
     RadiusOutOfRange,
 )
@@ -276,6 +277,15 @@ def test_quotient_lamplighter_window_report():
     assert est.certified_interval is None
     assert len(est.caveats) == 3
     assert est.c_lower == pytest.approx(est.numerator_lower / est.denominator_upper)
+
+
+def test_quotient_rejects_a_table_of_another_group():
+    # the free:2 table shows exponential growth, so without the group check
+    # the lamplighter records would get a c_lower
+    ll = make_group("lamplighter")
+    records = [folner_exact(ll, n, 6) for n in range(1, 9)]
+    with pytest.raises(MalformedElement, match="^ball table belongs to free:2, not lamplighter$"):
+        quotient_estimate(ll, 8, records, enumerate_ball(make_group("free:2"), 8))
 
 
 def test_quotient_insufficient_data():

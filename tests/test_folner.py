@@ -378,7 +378,7 @@ def test_size_floors_pinned_values():
 @pytest.mark.parametrize("desc", ["z:1", "dinf"])
 def test_size_floor_search_is_bounded(desc):
     # on a path the components of interior members grow exponentially with
-    # the size; past len(adj) of them the floor falls back to deg+1
+    # the size; past len(adj) of them every size above deg gets floor 0
     group = make_group(desc)
     with _time_limit(20):
         start = time.perf_counter()
@@ -386,7 +386,7 @@ def test_size_floor_search_is_bounded(desc):
         floors = _size_floors(adj, 40)
         count, min_boundary, _, _ = _scan(adj, 40)
         assert time.perf_counter() - start < 2
-    assert floors[:4] == [0, 1, 2, 2]
+    assert floors[:4] == [0, 1, 2, 0]
     assert count == [0] + list(range(1, 41))
     assert min_boundary == [None, 1] + [2] * 39
 

@@ -65,6 +65,12 @@ def test_boundary_empty_set_errors():
         boundary_ratio(FiniteSubset(z, []))
 
 
+def test_boundary_rejects_a_subset_of_another_group():
+    z1, z2 = make_group("z:1"), make_group("z:2")
+    with pytest.raises(MalformedElement, match="^subset belongs to z:2, not z:1$"):
+        boundary(z1, FiniteSubset(z2, [(0, 0), (1, 0)]))
+
+
 def test_translation_invariance_random(groups):
     rng = random.Random(41)
     for g in groups.values():
@@ -93,6 +99,14 @@ def test_subset_and_translate_reject_malformed(groups):
 
 
 # ----------------------------------------------------------- check_inequality
+
+def test_check_inequality_rejects_a_table_of_another_group():
+    # the z:1 table would give z:1's right-hand side 1/16 and holds=True
+    z1, z2 = make_group("z:1"), make_group("z:2")
+    omega = FiniteSubset(z2, [(0, 0), (1, 0)])
+    with pytest.raises(MalformedElement, match="^ball table belongs to z:1, not z:2$"):
+        check_inequality(omega, enumerate_ball(z1, 10), "csc-original")
+
 
 def test_pete_correia_example():
     z = make_group("z:1")

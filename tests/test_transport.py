@@ -144,16 +144,30 @@ def test_ledger_requires_nonempty_and_radius():
         build_ledger(FiniteSubset(z3, [(0, 0, 0)]), enumerate_ball(make_group("heis"), 2), 1)
 
 
-def test_ledger_caps_default_and_override():
+def test_ledger_budget_bounds_its_pairs():
+    # |W| |B(2)| = 10 * 5 pairs: a budget of 50 runs, 49 is refused first
+    z = make_group("z:1")
+    t = enumerate_ball(z, 3)
+    omega = z_subset(z, range(10))
+    assert build_ledger(omega, t, 2, max_elements=50).sum_rays == 6
+    with pytest.raises(BadParams) as exc:
+        build_ledger(omega, t, 2, max_elements=49)
+    assert str(exc.value) == ("the ledger has |W| |B(2)| = 10 * 5 = 50 pairs, "
+                              "over the element budget of 49")
+    # the budget is checked after the horizon and the group
+    with pytest.raises(HorizonExceeded):
+        build_ledger(omega, t, 4, max_elements=1)
+    with pytest.raises(MalformedElement):
+        build_ledger(omega, enumerate_ball(make_group("dinf"), 2), 1, max_elements=1)
+
+
+def test_ledger_past_the_old_caps_runs_within_the_budget():
+    # |W| = 101 and r = 7 were refused before any budget applied
     z = make_group("z:1")
     t = enumerate_ball(z, 8)
-    big = z_subset(z, range(70))
-    with pytest.raises(BadParams):
-        build_ledger(big, t, 1)
-    assert build_ledger(big, t, 1, size_cap=100).sum_rays == 2
-    with pytest.raises(BadParams):
-        build_ledger(z_subset(z, [0]), t, 7)
-    assert build_ledger(z_subset(z, [0]), t, 7, radius_cap=8).r == 7
+    assert build_ledger(z_subset(z, range(101)), t, 1).sum_rays == 2
+    ledger = build_ledger(z_subset(z, [0]), t, 7)
+    assert ledger.sum_rays == ledger.sum_omega_g == 14
 
 
 def test_ledger_deterministic_rebuild():
