@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import accumulate, count, islice
 
 from .errors import BadParams, HorizonExceeded, MemoryBudgetExceeded, RadiusOutOfRange
-from .groups import Group
+from .groups import Group, _check_generators
 
 __all__ = [
     "INFINITE",
@@ -157,12 +157,18 @@ def _spheres(group: Group, budget: int):
     search forms is formed in the same order as without the skip, so the
     discovery order, the norms and the counts are those of the full search.
 
+    The generating set must be symmetric (the skip needs each inverse, and
+    the degree bounds :func:`_checked_sphere_counts` asserts hold only
+    then), or the search raises :class:`InvalidParams`; repeated generators
+    and the identity are accepted.
+
     The budget is checked once per expanded element, so the search raises
     :class:`MemoryBudgetExceeded` at the first sphere whose ball holds more
     than ``budget`` elements.  By then the ball holds at most budget + deg
     elements (deg generators): up to deg - 1 more than the budget + 1 at
     which a check per new element would stop.
     """
+    _check_generators(group, reject=("not-symmetric",))
     e = group.identity
     elements = [e]
     norm_of = {e: 0}
@@ -177,7 +183,7 @@ def _spheres(group: Group, budget: int):
     every = tuple(enumerate(group._right_steps()))
     moves = []
     for g in gens:
-        inverse = next((h for h, g2 in enumerate(gens) if group._mul(g, g2) == e), -1)
+        inverse = next(h for h, g2 in enumerate(gens) if group._mul(g, g2) == e)
         moves.append(tuple(move for move in every if move[0] != inverse))
     moves.append(every)
     frontier = [e]
@@ -233,9 +239,9 @@ def _budget_exceeded(group: Group, budget: int, r: int) -> MemoryBudgetExceeded:
 
 
 def _checked_sphere_counts(b: list, k: int) -> list:
-    """Sphere counts of the ball counts ``b`` of a search with k generators,
-    after asserting both degree bounds: theorems, so a violation means the
-    search is broken."""
+    """Sphere counts of the ball counts ``b`` of a search with k symmetric
+    generators, after asserting both degree bounds: theorems, so a violation
+    means the search is broken."""
     s = [1] + [b[r] - b[r - 1] for r in range(1, len(b))]
     for which in ("spheres", "balls"):
         assert _degree_bound_violation(which, s, b, k) is None
@@ -302,10 +308,13 @@ class GrowthEstimate:
     is_exponential_evidence: bool
 
 
-# Increment-flatness threshold: Z^d up to d = 4 stays below ~0.63 at any
-# horizon >= 4, the exponential built-ins stay above ~0.79.
+# Increment-flatness threshold: from horizon 6 on, the polynomial built-ins
+# (Z^d up to d = 4, dinf, heis) stay at or below ~0.63 and the exponential
+# ones (free:2, free:3, lamplighter) at or above ~0.74.  Below horizon 6 heis
+# reaches 0.73 and the lamplighter falls to 0.53, so no horizon below 6 is
+# evidence.
 _EVIDENCE_RATIO = Fraction(7, 10)
-_EVIDENCE_MIN_HORIZON = 4
+_EVIDENCE_MIN_HORIZON = 6
 
 
 def growth_rate_upper(table: BallTable, horizon: int) -> GrowthEstimate:

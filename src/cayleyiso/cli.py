@@ -7,7 +7,9 @@ and take no ``--format``.  Every rational parameter is parsed exactly from
 ``p/q`` or integer syntax.  ``phi`` and ``check`` grow their ball table
 until it decides the growth inverse, so they take no radius.  Exit codes: 0
 on success (and on every check that holds), 2 when a mathematical check is
-falsified (the witness is printed), 1 on usage or resource errors.
+falsified (the witness is printed), 1 on usage or resource errors.  Each
+subcommand returns its result; :func:`main` alone parses, writes the result
+in the chosen ``--format`` to ``--output``, and picks the exit code.
 
 Subsets are given as ``--omega a..b`` (an integer interval, z:1 only) or as
 ``--omega-file`` with one canonical element key per line.  The memory budget
@@ -70,7 +72,10 @@ def _rational(text: str) -> Fraction:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
     return value
@@ -151,6 +156,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("suite", help="run the full acceptance battery")
     p.add_argument("--output", default="-")
 
+    # main reports an unknown option through its subcommand's parser
+    parser.subcommands = sub.choices
     return parser
 
 
@@ -169,20 +176,6 @@ def _budget(args) -> int | None:
             raise CayleyIsoError(f"{ENV_BUDGET} must be >= 1, got {value}")
         return value
     return None
-
-
-def _emit(args, text: str):
-    if getattr(args, "output", "-") in ("-", None):
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-
-
-def _json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=False)
 
 
 _RANGE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
@@ -215,81 +208,65 @@ def _parse_omega(group, args) -> FiniteSubset:
     raise CayleyIsoError("a subset is required: --omega or --omega-file")
 
 
-def _cmd_growth(args) -> int:
+# Each _cmd_* returns (payload, csv, falsified): the JSON payload, the CSV
+# text (None where the subcommand prints JSON only) and one line per
+# falsified check, empty when everything holds.
+
+def _cmd_growth(args) -> tuple:
     table = enumerate_ball(make_group(args.group), args.radius, max_elements=_budget(args))
-    if args.format == "json":
-        _emit(args, _json(table.to_json_dict()))
-    else:
-        lines = ["r,b_r,s_r,length_sum_r,avg_len_num,avg_len_den"]
-        lines += [",".join(str(v) for v in row) for row in table.csv_rows()]
-        _emit(args, "\n".join(lines))
-    return 0
+    lines = ["r,b_r,s_r,length_sum_r,avg_len_num,avg_len_den"]
+    lines += [",".join(str(v) for v in row) for row in table.csv_rows()]
+    return table.to_json_dict(), "\n".join(lines), []
 
 
-def _cmd_phi(args) -> int:
+def _cmd_phi(args) -> tuple:
     group = make_group(args.group)
     table = table_for_volume(group, args.volume, max_elements=_budget(args))
     value = phi(table, args.volume)
     text = "infinite" if value is INFINITE else str(value)
-    if args.format == "json":
-        _emit(args, _json({"group": group.descriptor, "volume": str(args.volume), "phi": text}))
-    else:
-        _emit(args, text)
-    return 0
+    return {"group": group.descriptor, "volume": str(args.volume), "phi": text}, text, []
 
 
-def _cmd_avg_length(args) -> int:
+def _cmd_avg_length(args) -> tuple:
     group = make_group(args.group)
     table = enumerate_ball(group, args.r, max_elements=_budget(args))
     avg = average_length(table, args.r)
-    if args.format == "json":
-        _emit(args, _json({"group": group.descriptor, "r": args.r,
-                           "avg_len": {"num": avg.numerator, "den": avg.denominator}}))
-    else:
-        _emit(args, f"{avg.numerator}/{avg.denominator}")
-    return 0
+    payload = {"group": group.descriptor, "r": args.r,
+               "avg_len": {"num": avg.numerator, "den": avg.denominator}}
+    return payload, f"{avg.numerator}/{avg.denominator}", []
 
 
-def _cmd_boundary(args) -> int:
+def _cmd_boundary(args) -> tuple:
     group = make_group(args.group)
     omega = _parse_omega(group, args)
     ratio = boundary_ratio(omega)
     keys = [group.format_element(x) for x in
             sorted(omega.boundary_set(), key=group.key)]
-    if args.format == "json":
-        _emit(args, _json({
-            "group": group.descriptor,
-            "omega_size": len(omega),
-            "boundary": keys,
-            "ratio": {"num": ratio.numerator, "den": ratio.denominator},
-        }))
-    else:
-        lines = keys + [f"ratio,{ratio.numerator}/{ratio.denominator}"]
-        _emit(args, "\n".join(lines))
-    return 0
+    payload = {
+        "group": group.descriptor,
+        "omega_size": len(omega),
+        "boundary": keys,
+        "ratio": {"num": ratio.numerator, "den": ratio.denominator},
+    }
+    return payload, "\n".join(keys + [f"ratio,{ratio.numerator}/{ratio.denominator}"]), []
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple:
     group = make_group(args.group)
     omega = _parse_omega(group, args)
     volume = inequality_volume(args.form, len(omega), alpha=args.alpha, eps=args.eps)
     table = table_for_volume(group, volume, max_elements=_budget(args))
     report = check_inequality(omega, table, args.form, alpha=args.alpha, eps=args.eps)
-    if args.format == "json":
-        _emit(args, _json(report.to_json_dict()))
-    else:
-        radius = "infinite" if report.radius_used is INFINITE else report.radius_used
-        _emit(args, "form,lhs,rhs,holds,strict,radius_used\n"
-              f"{report.form},{report.lhs.numerator}/{report.lhs.denominator},"
-              f"{report.rhs.numerator}/{report.rhs.denominator},"
-              f"{report.holds},{report.strict},{radius}")
-    if not report.holds:
-        sys.stderr.write(f"falsified: {args.form} on the given subset\n")
-        return 2
-    return 0
+    radius = "infinite" if report.radius_used is INFINITE else report.radius_used
+    csv = ("form,lhs,rhs,holds,strict,radius_used\n"
+           f"{report.form},{report.lhs.numerator}/{report.lhs.denominator},"
+           f"{report.rhs.numerator}/{report.rhs.denominator},"
+           f"{report.holds},{report.strict},{radius}")
+    falsified = [] if report.holds else [f"falsified: {args.form} on the given subset"]
+    return report.to_json_dict(), csv, falsified
 
 
-def _cmd_transport(args) -> int:
+def _cmd_transport(args) -> tuple:
     group = make_group(args.group)
     omega = _parse_omega(group, args)
     budget = _budget(args)
@@ -307,7 +284,7 @@ def _cmd_transport(args) -> int:
     else:
         lemmas = [args.lemma]
     rows = []
-    failures = []
+    falsified = []
     for name in lemmas:
         try:
             report = verify_lemma(name, table=table, ledger=ledger, alpha=args.alpha)
@@ -319,20 +296,12 @@ def _cmd_transport(args) -> int:
             continue
         rows.append(report.to_json_dict())
         if not report.holds:
-            failures.append(report)
+            falsified.append(f"falsified: {report.which} with witness {report.witness}")
     payload = ledger.to_json_dict()
     payload["lemma_results"] = rows
-    if args.format == "json":
-        _emit(args, _json(payload))
-    else:
-        lines = ["lemma,holds,detail"]
-        lines += [f"{r['which']},{r['holds']},{r['detail']}" for r in rows]
-        _emit(args, "\n".join(lines))
-    if failures:
-        for r in failures:
-            sys.stderr.write(f"falsified: {r.which} with witness {r.witness}\n")
-        return 2
-    return 0
+    lines = ["lemma,holds,detail"]
+    lines += [f"{r['which']},{r['holds']},{r['detail']}" for r in rows]
+    return payload, "\n".join(lines), falsified
 
 
 def _check_printable(value, what: str) -> None:
@@ -347,7 +316,7 @@ def _check_printable(value, what: str) -> None:
             "(PYTHONINTMAXSTRDIGITS sets it)") from None
 
 
-def _cmd_folner(args) -> int:
+def _cmd_folner(args) -> tuple:
     group = make_group(args.group)
     try:
         family = folner_family_upper(group, args.n)
@@ -358,24 +327,17 @@ def _cmd_folner(args) -> int:
     # before the scan, which can run for a minute
     _check_printable(family, f"the family upper bound for n={args.n}")
     if args.family_only:
-        if args.format == "json":
-            _emit(args, _json({"group": group.descriptor, "n": args.n, "family_upper": family}))
-        else:
-            _emit(args, f"n,family_upper\n{args.n},{family}")
-        return 0
+        payload = {"group": group.descriptor, "n": args.n, "family_upper": family}
+        return payload, f"n,family_upper\n{args.n},{family}", []
     record = folner_exact(group, args.n, args.cap, max_elements=_budget(args))
-    if args.format == "json":
-        payload = record.to_json_dict()
-        payload["group"] = group.descriptor
-        _emit(args, _json(payload))
-    else:
-        row = record.csv_row()
-        _emit(args, "n,value_or_bound,kind,witness_size,family_upper\n"
-              + ",".join(str(v) for v in row))
-    return 0
+    payload = record.to_json_dict()
+    payload["group"] = group.descriptor
+    csv = ("n,value_or_bound,kind,witness_size,family_upper\n"
+           + ",".join(str(v) for v in record.csv_row()))
+    return payload, csv, []
 
 
-def _cmd_convert(args) -> int:
+def _cmd_convert(args) -> tuple:
     if args.direction == "csc-to-folner":
         if args.rho is None:
             raise CayleyIsoError("csc-to-folner needs --rho > 0")
@@ -391,8 +353,7 @@ def _cmd_convert(args) -> int:
                    "input": {"c": str(args.c), "alpha": str(args.alpha),
                              "rho": str(args.rho), "s_size": args.s_size},
                    "output": result.params_dict()}
-    _emit(args, _json(payload))
-    return 0
+    return payload, None, []
 
 
 def _parse_scope(text: str):
@@ -404,38 +365,24 @@ def _parse_scope(text: str):
     raise CayleyIsoError(f"scope must be 'b2' or 'connected:<k>', got {text!r}")
 
 
-def _cmd_certify(args) -> int:
+def _cmd_certify(args) -> tuple:
     group = make_group(args.group)
     scope = _parse_scope(args.scope)
     cert = certify_at_scale(group, CscBound(args.c, args.alpha), scope,
                             max_elements=_budget(args))
-    if args.format == "json":
-        _emit(args, _json(cert.to_json_dict()))
-    else:
-        _emit(args, "holds,scope,checked_sets\n"
-              f"{cert.holds},{cert.scope.describe()},{cert.checked_sets}")
-    if not cert.holds:
-        sys.stderr.write(f"falsified with witness {cert.witness.keys()}\n")
-        return 2
-    return 0
+    csv = f"holds,scope,checked_sets\n{cert.holds},{cert.scope.describe()},{cert.checked_sets}"
+    falsified = [] if cert.holds else [f"falsified with witness {cert.witness.keys()}"]
+    return cert.to_json_dict(), csv, falsified
 
 
-def _cmd_quotient(args) -> int:
+def _cmd_quotient(args) -> tuple:
     group = make_group(args.group)
     budget = _budget(args)
     table = enumerate_ball(group, args.horizon, max_elements=budget)
     # lazy: the growth hypothesis is checked before any record is computed
     records = (folner_exact(group, n, args.cap, max_elements=budget)
                for n in range(1, args.horizon + 1))
-    estimate = quotient_estimate(group, args.horizon, records, table)
-    _emit(args, _json(estimate.to_json_dict()))
-    return 0
-
-
-def _cmd_suite(args) -> int:
-    text, passed = acceptance.run_suite()
-    _emit(args, text)
-    return 0 if passed else 2
+    return quotient_estimate(group, args.horizon, records, table).to_json_dict(), None, []
 
 
 _COMMANDS = {
@@ -449,21 +396,47 @@ _COMMANDS = {
     "convert": _cmd_convert,
     "certify": _cmd_certify,
     "quotient": _cmd_quotient,
-    "suite": _cmd_suite,
 }
 
 
+def _write(path: str, text: str) -> None:
+    """Write ``text`` with exactly one trailing newline to ``path``, or to
+    stdout when ``path`` is '-'."""
+    text = text.rstrip("\n") + "\n"
+    if path == "-":
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code: 0 when it succeeds and
+    every check holds, 2 when a check is falsified or a suite criterion
+    fails, 1 on usage and resource errors."""
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extras = parser.parse_known_args(argv)
+        if extras:
+            # reported by the subcommand's parser, with its own usage
+            parser.subcommands[args.command].error(
+                f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        return _COMMANDS[args.command](args)
+        if args.command == "suite":
+            text, passed = acceptance.run_suite()
+            falsified = []
+        else:
+            payload, csv, falsified = _COMMANDS[args.command](args)
+            text = csv if getattr(args, "format", None) == "csv" else json.dumps(payload, indent=2)
+            passed = not falsified
+        _write(args.output, text)
     except (CayleyIsoError, OSError) as exc:
         sys.stderr.write(f"cayleyiso {args.command}: error: {exc}\n")
         return 1
+    sys.stderr.writelines(line + "\n" for line in falsified)
+    return 0 if passed else 2
 
 
 def entry():

@@ -102,8 +102,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .balls import INFINITE, _budget_exceeded, _checked_sphere_counts, _search_budget
-from .errors import BadParams, InvalidParams, NoFamilyForKind
-from .groups import DihedralInfinite, Group, LamplighterZ2, ZPowerD, validate_generators
+from .errors import BadParams, NoFamilyForKind
+from .groups import DihedralInfinite, Group, LamplighterZ2, ZPowerD, _check_generators
 from .isoperimetry import FiniteSubset, _check_positive_int
 
 __all__ = [
@@ -160,9 +160,7 @@ def adjacency_index(group: Group, max_size: int,
     identity would make a row repeat an index or contain its own vertex, and
     a generator whose inverse is missing would make the rows asymmetric.
     """
-    if validate_generators(group).problems:
-        raise InvalidParams(f"generators of {group.descriptor} repeat, include the identity "
-                            f"or are not symmetric")
+    _check_generators(group)
     budget = _search_budget(group, max_size, max_elements)
     e = group.identity
     elements = [e]

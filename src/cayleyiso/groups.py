@@ -499,3 +499,16 @@ def validate_generators(group: Group) -> GeneratorReport:
         if group.key(group.inv(g)) not in keys:
             problems.append(("not-symmetric", k.decode("ascii")))
     return GeneratorReport(ok=not problems, size=len(group.generators), problems=tuple(problems))
+
+
+_PROBLEM_WORDS = {"duplicate": "repeat", "contains-identity": "include the identity",
+                  "not-symmetric": "are not symmetric"}
+
+
+def _check_generators(group: Group, reject=tuple(_PROBLEM_WORDS)) -> None:
+    """Raise :class:`InvalidParams` when :func:`validate_generators` finds a
+    problem of a kind in ``reject``, naming each such kind."""
+    found = {kind for kind, _ in validate_generators(group).problems}
+    words = [_PROBLEM_WORDS[kind] for kind in reject if kind in found]
+    if words:
+        raise InvalidParams(f"generators of {group.descriptor} {' and '.join(words)}")

@@ -83,6 +83,9 @@ KERNEL_GROUPS = {
     "one-way-cycle": _OneWayCycle,
 }
 
+#: the KERNEL_GROUPS a ball search accepts: those with a symmetric generating set
+SEARCHED_GROUPS = [name for name in KERNEL_GROUPS if name != "one-way-cycle"]
+
 
 @pytest.fixture(scope="session")
 def groups():

@@ -398,12 +398,23 @@ def test_quotient_not_applicable(capsys):
 
 
 def test_quotient_free_group(capsys):
-    code, out, _ = run(capsys, ["quotient", "--group", "free:2", "--horizon", "5",
+    code, out, _ = run(capsys, ["quotient", "--group", "free:2", "--horizon", "6",
                                 "--cap", "4"])
     assert code == 0
     payload = json.loads(out)
     assert payload["numerator_lower"] == "infinite"
     assert payload["certified_interval"] is None
+
+
+@pytest.mark.parametrize("horizon", [4, 5])
+def test_quotient_no_evidence_below_horizon_6(capsys, horizon):
+    # heis grows polynomially; its late/mid ratio at horizons 4 and 5 (0.731,
+    # 0.733) is above the 7/10 threshold, so no horizon below 6 is evidence
+    code, out, err = run(capsys, ["quotient", "--group", "heis", "--horizon", str(horizon),
+                                  "--cap", "5"])
+    assert (code, out) == (1, "")
+    assert err == ("cayleyiso quotient: error: no exponential-growth evidence for heis "
+                   f"at horizon {horizon}\n")
 
 
 # -------------------------------------------------------------------- usage
@@ -419,6 +430,38 @@ def test_unknown_flag_exit_1(capsys):
         code, out, err = run(capsys, argv + ["--format", "csv"])
         assert (code, out) == (1, "")
         assert "unrecognized arguments: --format csv" in err
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["phi", "--group", "z:1", "--volume", "5"], ["--radius", "3"]),
+    (["growth", "--group", "z:1", "--radius", "2"], ["stray"]),
+    (["suite"], ["--threads", "2"]),
+], ids=["phi", "growth", "suite"])
+def test_unknown_option_reported_by_its_subcommand(capsys, argv, extra):
+    # the subcommand's usage, not the top-level list of subcommands
+    code, out, err = run(capsys, argv + extra)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"usage: cayleyiso {argv[0]} [-h]")
+    assert err.endswith(f"cayleyiso {argv[0]}: error: unrecognized arguments: "
+                        f"{' '.join(extra)}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["growth", "--group", "z:1", "--radius", "2", "--memory-budget"],
+    ["folner", "--group", "z:1", "--n"],
+    ["folner", "--group", "z:1", "--n", "2", "--cap"],
+    ["quotient", "--group", "free:2", "--horizon"],
+    ["convert", "--direction", "folner-to-csc", "--c", "1", "--alpha", "0", "--rho", "0",
+     "--s-size"],
+], ids=lambda argv: argv[-1].lstrip("-"))
+def test_positive_int_options_name_no_python_function(capsys, argv):
+    code, out, err = run(capsys, argv + ["x"])
+    assert (code, out) == (1, "")
+    assert err.endswith(f"error: argument {argv[-1]}: not an integer: 'x'\n")
+    assert "_positive_int" not in err
+    code, _, err = run(capsys, argv + ["0"])
+    assert code == 1
+    assert err.endswith(f"error: argument {argv[-1]}: must be >= 1, got 0\n")
 
 
 def test_unknown_subcommand_exit_1(capsys):
@@ -560,15 +603,32 @@ def test_exit_codes_under_fuzzed_arguments(omega_files, data):
         assert "error:" in err
 
 
-def test_readme_cli_lines_exit_0(capsys):
-    # every documented invocation runs, so no removed flag stays in the docs
+def _readme_cli_lines():
+    """The argument lists of the README's CLI block, ``suite`` left out."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```")[1]
     lines = [line for line in block.splitlines() if line.startswith("cayleyiso ")]
     assert len(lines) == 11
-    for line in lines:
-        argv = shlex.split(line)[1:]
-        if argv[0] == "suite":
-            continue
+    return [shlex.split(line)[1:] for line in lines if line != "cayleyiso suite"]
+
+
+def test_readme_cli_lines_exit_0(capsys):
+    # every documented invocation runs, so no removed flag stays in the docs
+    for argv in _readme_cli_lines():
         code, _, err = run(capsys, argv)
-        assert (code, err) == (0, ""), line
+        assert (code, err) == (0, ""), argv
+
+
+def test_output_file_holds_what_stdout_gets(capsys, tmp_path):
+    # one writer: --output FILE gets the bytes stdout would, in either format
+    target = tmp_path / "out"
+    falsified = ["certify", "--group", "z:1", "--c", "100", "--alpha", "1", "--scope", "b2"]
+    for argv in _readme_cli_lines() + [falsified]:
+        # convert and quotient print JSON only and take no --format
+        formats = [["--format", "csv"], ["--format", "json"]]
+        for fmt in [[]] if argv[0] in ("convert", "quotient") else formats:
+            code, out, err = run(capsys, argv + fmt)
+            assert out.endswith("\n") and not out.endswith("\n\n"), argv + fmt
+            assert run(capsys, argv + fmt + ["--output", str(target)]) == (code, "", err)
+            assert target.read_bytes() == out.encode(), argv + fmt
+            target.unlink()

@@ -254,12 +254,12 @@ def test_quotient_not_applicable_on_polynomial_growth():
 
 def test_quotient_free_group_reports_infinite():
     f2 = make_group("free:2")
-    table = enumerate_ball(f2, 5)
-    records = [folner_exact(f2, n, 4) for n in range(1, 6)]
-    est = quotient_estimate(f2, 5, records, table)
+    table = enumerate_ball(f2, 6)
+    records = [folner_exact(f2, n, 4) for n in range(1, 7)]
+    est = quotient_estimate(f2, 6, records, table)
     assert math.isinf(est.numerator_lower)
     assert math.isinf(est.c_lower)
-    assert est.denominator_upper == pytest.approx(math.log(485) / 5)
+    assert est.denominator_upper == pytest.approx(math.log(1457) / 6)
     assert est.certified_interval is None
     payload = est.to_json_dict()
     assert payload["numerator_lower"] == "infinite"
@@ -290,6 +290,6 @@ def test_quotient_rejects_a_table_of_another_group():
 
 def test_quotient_insufficient_data():
     f2 = make_group("free:2")
-    table = enumerate_ball(f2, 5)
+    table = enumerate_ball(f2, 6)
     with pytest.raises(InsufficientData):
-        quotient_estimate(f2, 5, [folner_exact(f2, 1, 2)], table)
+        quotient_estimate(f2, 6, [folner_exact(f2, 1, 2)], table)

@@ -34,6 +34,7 @@ from cayleyiso.isoperimetry import FiniteSubset, boundary_ratio
 from conftest import (
     BUILTIN_DESCRIPTORS,
     KERNEL_GROUPS,
+    SEARCHED_GROUPS,
     CyclicStub,
     _DoubledLine,
     _LoopedLine,
@@ -310,8 +311,8 @@ def _row_boundary(adj, members):
 # ------------------------------------------ size floors and settled subtrees
 
 # the kernel groups whose generating sets the scan accepts
-SCANNED_GROUPS = [name for name in KERNEL_GROUPS
-                  if name not in ("doubled-line", "looped-line", "one-way-cycle")]
+SCANNED_GROUPS = [name for name in SEARCHED_GROUPS
+                  if name not in ("doubled-line", "looped-line")]
 # the largest size at which a group's sets are enumerated one at a time; at
 # size 7 these have 0.2-0.9 million sets, and the lamplighter (degree 8) no
 # interior member
@@ -466,10 +467,12 @@ def test_adjacency_index_rejects_repeated_or_identity_generators(group_type):
     # boundary updates assume symmetric rows: on the one-way cycle they gave
     # the whole group 3 boundary members where it has none
     group = group_type()
+    problem = {_DoubledLine: "repeat", _LoopedLine: "include the identity",
+               _OneWayCycle: "are not symmetric"}[group_type]
     for size, budget in ((4, None), (0, None), (4, 0), (4, 2)):
         # at every size, and before the element budget can run out
         with pytest.raises(InvalidParams,
-                           match="repeat, include the identity or are not symmetric"):
+                           match=f"^generators of {group.descriptor} {problem}$"):
             adjacency_index(group, size, max_elements=budget)
     # the group of the same descriptor with a valid generating set; its
     # memoized scan must not answer

@@ -23,7 +23,7 @@ from cayleyiso.transport import (
     verify_lemma,
 )
 
-from conftest import BUILTIN_DESCRIPTORS, KERNEL_GROUPS
+from conftest import BUILTIN_DESCRIPTORS, KERNEL_GROUPS, SEARCHED_GROUPS
 
 
 def z_subset(group, values):
@@ -204,7 +204,7 @@ def _ledger_by_definition(group, table, omega, r):
     return omega_g, rays, dict(fibers)
 
 
-@pytest.mark.parametrize("desc", KERNEL_GROUPS)
+@pytest.mark.parametrize("desc", SEARCHED_GROUPS)
 def test_ledger_matches_definitions(desc):
     group = KERNEL_GROUPS[desc]()
     t = enumerate_ball(group, 2)
