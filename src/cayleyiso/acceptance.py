@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .balls import enumerate_ball, table_for_volume
@@ -48,13 +47,15 @@ _SEED_BATTERY = 0xA5CE55
 _SEED_REDUCTION = 0xF01E
 
 
-@dataclass
 class CriterionResult:
-    index: int
-    name: str
-    passed: bool
-    details: tuple
-    elapsed: float  # seconds; never rendered (reports must be byte-stable)
+    __slots__ = ("index", "name", "passed", "details", "elapsed")
+
+    def __init__(self, index: int, name: str, passed: bool, details: tuple, elapsed: float):
+        self.index = index
+        self.name = name
+        self.passed = passed
+        self.details = details
+        self.elapsed = elapsed  # seconds; never rendered (reports must be byte-stable)
 
 
 class _Run:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, count, islice
 
@@ -57,7 +56,6 @@ class _Infinite:
 INFINITE = _Infinite()
 
 
-@dataclass
 class BallTable:
     """Memoized BFS output for one group up to ``max_radius``.
 
@@ -66,14 +64,19 @@ class BallTable:
     norm.  Immutable once built; share freely.
     """
 
-    group: Group
-    max_radius: int
-    elements: list
-    norm_of: dict
-    b: list
-    s: list
-    length_sum: list
-    exhausted: bool
+    __slots__ = ("group", "max_radius", "elements", "norm_of", "b", "s", "length_sum",
+                 "exhausted")
+
+    def __init__(self, group: Group, max_radius: int, elements: list, norm_of: dict,
+                 b: list, s: list, length_sum: list, exhausted: bool):
+        self.group = group
+        self.max_radius = max_radius
+        self.elements = elements
+        self.norm_of = norm_of
+        self.b = b
+        self.s = s
+        self.length_sum = length_sum
+        self.exhausted = exhausted
 
     def norm(self, a) -> int:
         """Exact word norm of ``a``; HorizonExceeded if outside the table."""
@@ -290,7 +293,6 @@ def average_length(table: BallTable, r: int) -> Fraction:
     return Fraction(table.length_sum[r], table.b[r])
 
 
-@dataclass(frozen=True)
 class GrowthEstimate:
     """Subadditive upper estimates for the exponential growth rate.
 
@@ -302,10 +304,14 @@ class GrowthEstimate:
     essentially constant.
     """
 
-    horizon: int
-    per_n: tuple
-    fekete_inf: float
-    is_exponential_evidence: bool
+    __slots__ = ("horizon", "per_n", "fekete_inf", "is_exponential_evidence")
+
+    def __init__(self, horizon: int, per_n: tuple, fekete_inf: float,
+                 is_exponential_evidence: bool):
+        self.horizon = horizon
+        self.per_n = per_n
+        self.fekete_inf = fekete_inf
+        self.is_exponential_evidence = is_exponential_evidence
 
 
 # Increment-flatness threshold: from horizon 6 on, the polynomial built-ins

@@ -30,7 +30,6 @@ import re
 import sys
 from fractions import Fraction
 
-from . import acceptance
 from .balls import INFINITE, average_length, enumerate_ball, phi, table_for_volume
 from .constants import (
     BallSubsetsScope,
@@ -62,6 +61,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+    # every parser reports the arguments it does not know, with its own
+    # usage: a subcommand those after its name (it finishes parsing before
+    # the top level does), the top level those before it
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 def _rational(text: str) -> Fraction:
@@ -155,27 +163,21 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("suite", help="run the full acceptance battery")
     p.add_argument("--output", default="-")
-
-    # main reports an unknown option through its subcommand's parser
-    parser.subcommands = sub.choices
     return parser
 
 
 def _budget(args) -> int | None:
     """The element budget of the flag, else of the environment, else None
-    for the library default."""
+    for the library default.  Both values pass :func:`_positive_int`."""
     if args.memory_budget is not None:
         return args.memory_budget
     env = os.environ.get(ENV_BUDGET)
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise CayleyIsoError(f"{ENV_BUDGET} must be an integer, got {env!r}")
-        if value < 1:
-            raise CayleyIsoError(f"{ENV_BUDGET} must be >= 1, got {value}")
-        return value
-    return None
+    if not env:
+        return None
+    try:
+        return _positive_int(env)
+    except argparse.ArgumentTypeError as exc:
+        raise CayleyIsoError(f"{ENV_BUDGET}: {exc}") from None
 
 
 _RANGE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
@@ -414,18 +416,16 @@ def main(argv=None) -> int:
     """Run one subcommand and return its exit code: 0 when it succeeds and
     every check holds, 2 when a check is falsified or a suite criterion
     fails, 1 on usage and resource errors."""
-    parser = build_parser()
     try:
-        args, extras = parser.parse_known_args(argv)
-        if extras:
-            # reported by the subcommand's parser, with its own usage
-            parser.subcommands[args.command].error(
-                f"unrecognized arguments: {' '.join(extras)}")
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         if args.command == "suite":
-            text, passed = acceptance.run_suite()
+            # imported here: no other subcommand needs the battery
+            from .acceptance import run_suite
+
+            text, passed = run_suite()
             falsified = []
         else:
             payload, csv, falsified = _COMMANDS[args.command](args)

@@ -21,12 +21,11 @@ and an always-empty certified interval, with explicit caveats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .balls import INFINITE, BallTable, _search_budget, growth_rate_upper, phi, table_for_volume
 from .errors import BadParams, EmptyGeneratingSet, InsufficientData, NotApplicable
-from .folner import LowerBound, adjacency_index, min_ratio_table
+from .folner import LowerBound, _Value, adjacency_index, min_ratio_table
 from .groups import Group
 from .isoperimetry import FiniteSubset, _as_fraction, _check_same_group, _exact_alpha
 
@@ -46,36 +45,37 @@ __all__ = [
 ]
 
 
-class _Bound:
+class _Bound(_Value):
     """Parameters checked when the bound is built: every field becomes an
     exact rational (ints convert, anything else raises BadParams), and alpha
     must be >= 0."""
 
-    def __post_init__(self):
-        for field in fields(self):
-            value = _as_fraction(getattr(self, field.name), field.name)
-            object.__setattr__(self, field.name, value)
-        _exact_alpha(self.alpha)
+    __slots__ = ()
 
     def params_dict(self):
-        return {field.name: str(getattr(self, field.name)) for field in fields(self)}
+        return {name: str(getattr(self, name)) for name in self.__slots__}
 
 
-@dataclass(frozen=True)
 class CscBound(_Bound):
     """Outer-constant shape: ratio >= c / Phi[(1+alpha)|W|] for all W."""
 
-    c: Fraction
-    alpha: Fraction
+    __slots__ = ("c", "alpha")
+
+    def __init__(self, c, alpha):
+        object.__setattr__(self, "c", _as_fraction(c, "c"))
+        object.__setattr__(self, "alpha", _exact_alpha(alpha))
 
 
-@dataclass(frozen=True)
 class FolnerBound(_Bound):
     """Inner-constant shape: folner(n) >= |B(c n - rho)| / (1+alpha) for all n."""
 
-    c: Fraction
-    alpha: Fraction
-    rho: Fraction
+    __slots__ = ("c", "alpha", "rho")
+
+    def __init__(self, c, alpha, rho):
+        object.__setattr__(self, "c", _as_fraction(c, "c"))
+        object.__setattr__(self, "alpha", _as_fraction(alpha, "alpha"))
+        object.__setattr__(self, "rho", _as_fraction(rho, "rho"))
+        _exact_alpha(self.alpha)
 
 
 def csc_to_folner(bound: CscBound, rho) -> FolnerBound:
@@ -107,21 +107,25 @@ def folner_to_csc(bound: FolnerBound, generating_set_size: int) -> CscBound:
     return CscBound(bound.c, inflation - 1)
 
 
-@dataclass(frozen=True)
-class BallSubsetsScope:
+class BallSubsetsScope(_Value):
     """Every non-empty subset of the ball of the given radius."""
 
-    radius: int = 2
+    __slots__ = ("radius",)
+
+    def __init__(self, radius: int = 2):
+        object.__setattr__(self, "radius", radius)
 
     def describe(self):
         return f"all non-empty subsets of B({self.radius})"
 
 
-@dataclass(frozen=True)
-class ConnectedScope:
+class ConnectedScope(_Value):
     """Every connected subset containing the identity, up to the given size."""
 
-    max_size: int
+    __slots__ = ("max_size",)
+
+    def __init__(self, max_size: int):
+        object.__setattr__(self, "max_size", max_size)
 
     def describe(self):
         return f"connected subsets containing e with size <= {self.max_size}"
@@ -131,7 +135,6 @@ class ConnectedScope:
 _MAX_SUBSET_SCOPE_BITS = 20
 
 
-@dataclass
 class Certificate:
     """Result of checking a CscBound over a stated finite scope.
 
@@ -139,13 +142,18 @@ class Certificate:
     disproves the bound outright.
     """
 
-    group: str
-    bound: CscBound
-    scope: object
-    holds: bool
-    witness: object
-    checked_sets: int
-    derived_bounds: dict
+    __slots__ = ("group", "bound", "scope", "holds", "witness", "checked_sets",
+                 "derived_bounds")
+
+    def __init__(self, group: str, bound: CscBound, scope, holds: bool, witness,
+                 checked_sets: int, derived_bounds: dict):
+        self.group = group
+        self.bound = bound
+        self.scope = scope
+        self.holds = holds
+        self.witness = witness
+        self.checked_sets = checked_sets
+        self.derived_bounds = derived_bounds
 
     def to_json_dict(self):
         return {
@@ -271,7 +279,6 @@ def _certify_connected(group, bound, scope, max_elements):
     )
 
 
-@dataclass
 class FolnerFormCheck:
     """Evaluation of an inner-shape bound against Folner records.
 
@@ -279,10 +286,13 @@ class FolnerFormCheck:
     ``fails``, ``indeterminate`` (a lower-bound record too weak to decide).
     """
 
-    bound: FolnerBound
-    rows: list
-    holds: bool
-    indeterminate: int
+    __slots__ = ("bound", "rows", "holds", "indeterminate")
+
+    def __init__(self, bound: FolnerBound, rows: list, holds: bool, indeterminate: int):
+        self.bound = bound
+        self.rows = rows
+        self.holds = holds
+        self.indeterminate = indeterminate
 
     def to_json_dict(self):
         return {
@@ -321,7 +331,6 @@ def check_folner_form(bound: FolnerBound, table: BallTable, records) -> FolnerFo
     return FolnerFormCheck(bound, rows, holds, indeterminate)
 
 
-@dataclass
 class QuotientEstimate:
     """Window statistics toward the optimal-constant quotient.
 
@@ -331,15 +340,21 @@ class QuotientEstimate:
     checking elsewhere stays exact.
     """
 
-    group: str
-    horizon: int
-    window: tuple
-    numerator_lower: float
-    numerator_upper: object
-    denominator_upper: float
-    c_lower: float
-    certified_interval: object
-    caveats: tuple
+    __slots__ = ("group", "horizon", "window", "numerator_lower", "numerator_upper",
+                 "denominator_upper", "c_lower", "certified_interval", "caveats")
+
+    def __init__(self, group: str, horizon: int, window: tuple, numerator_lower: float,
+                 numerator_upper, denominator_upper: float, c_lower: float,
+                 certified_interval, caveats: tuple):
+        self.group = group
+        self.horizon = horizon
+        self.window = window
+        self.numerator_lower = numerator_lower
+        self.numerator_upper = numerator_upper
+        self.denominator_upper = denominator_upper
+        self.c_lower = c_lower
+        self.certified_interval = certified_interval
+        self.caveats = caveats
 
     def to_json_dict(self):
         def num(x):

@@ -98,7 +98,6 @@ import marshal
 import os
 import signal
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .balls import INFINITE, _budget_exceeded, _checked_sphere_counts, _search_budget
@@ -118,17 +117,50 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LowerBound:
+class _Value:
+    """Base of the immutable value records (:class:`LowerBound`, and the
+    bounds and scopes of :mod:`cayleyiso.constants`): equal and hashed by the
+    fields ``__slots__`` lists, which ``__init__`` sets once through
+    ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable "
+                             f"{type(self).__name__}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, as __setattr__ refuses
+        return type(self), self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class LowerBound(_Value):
     """Search exhausted the size cap: the true value is >= ``bound``."""
 
-    bound: int
+    __slots__ = ("bound",)
+
+    def __init__(self, bound: int):
+        object.__setattr__(self, "bound", bound)
 
     def __repr__(self):
         return f">={self.bound}"
 
 
-@dataclass(frozen=True)
 class AdjacencyIndex:
     """Vertices of B(max_size) in discovery order with neighbor index tuples.
 
@@ -142,8 +174,11 @@ class AdjacencyIndex:
     connected set of size k containing the identity stays inside B(k-1).
     """
 
-    elements: list
-    adj: tuple
+    __slots__ = ("elements", "adj")
+
+    def __init__(self, elements: list, adj: tuple):
+        self.elements = elements
+        self.adj = adj
 
 
 def adjacency_index(group: Group, max_size: int,
@@ -593,7 +628,6 @@ def _fork_share(run, share, max_size):
     return pid, open(read_fd, "rb")
 
 
-@dataclass
 class MinRatioTable:
     """Per-size minimum boundary counts over connected sets containing e.
 
@@ -605,12 +639,16 @@ class MinRatioTable:
     docstring for the reduction).
     """
 
-    group: Group
-    max_size: int
-    min_boundary: list
-    witness: list
-    count: list
-    index: AdjacencyIndex
+    __slots__ = ("group", "max_size", "min_boundary", "witness", "count", "index")
+
+    def __init__(self, group: Group, max_size: int, min_boundary: list, witness: list,
+                 count: list, index: AdjacencyIndex):
+        self.group = group
+        self.max_size = max_size
+        self.min_boundary = min_boundary
+        self.witness = witness
+        self.count = count
+        self.index = index
 
     def min_ratio(self, size: int) -> Fraction:
         return Fraction(self.min_boundary[self._scanned(size)], size)
@@ -688,7 +726,6 @@ def connected_subsets(group: Group, max_size: int):
         yield from grow([0], size)
 
 
-@dataclass(frozen=True)
 class FolnerRecord:
     """One Folner-function data point.
 
@@ -697,11 +734,14 @@ class FolnerRecord:
     minimum when the value is exact.
     """
 
-    n: int
-    value: object
-    witness: object
-    search_cap: int
-    family_upper: object = None
+    __slots__ = ("n", "value", "witness", "search_cap", "family_upper")
+
+    def __init__(self, n: int, value, witness, search_cap: int, family_upper=None):
+        self.n = n
+        self.value = value
+        self.witness = witness
+        self.search_cap = search_cap
+        self.family_upper = family_upper
 
     @property
     def kind(self) -> str:

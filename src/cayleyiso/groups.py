@@ -18,7 +18,6 @@ Descriptor strings accepted by :func:`make_group`:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
 
 from .errors import InvalidParams, MalformedElement, UnknownKind
 
@@ -470,13 +469,15 @@ def make_group(descriptor: str) -> Group:
     return group
 
 
-@dataclass(frozen=True)
 class GeneratorReport:
     """Result of validating a generating set."""
 
-    ok: bool
-    size: int
-    problems: tuple = field(default_factory=tuple)
+    __slots__ = ("ok", "size", "problems")
+
+    def __init__(self, ok: bool, size: int, problems: tuple = ()):
+        self.ok = ok
+        self.size = size
+        self.problems = problems
 
 
 def validate_generators(group: Group) -> GeneratorReport:

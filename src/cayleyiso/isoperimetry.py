@@ -29,7 +29,6 @@ the values a report carries and in the exact volume handed to Phi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .balls import INFINITE, BallTable, phi
@@ -133,7 +132,6 @@ def boundary_ratio(omega: FiniteSubset) -> Fraction:
     return Fraction(len(omega.boundary_set()), len(omega))
 
 
-@dataclass(frozen=True)
 class InequalityReport:
     """Outcome of one inequality check, with exact sides.
 
@@ -141,13 +139,17 @@ class InequalityReport:
     ``radius_used`` is the infinite sentinel, rhs is zero by convention.
     """
 
-    form: str
-    lhs: Fraction
-    rhs: Fraction
-    holds: bool
-    strict: bool
-    radius_used: object
-    params: dict
+    __slots__ = ("form", "lhs", "rhs", "holds", "strict", "radius_used", "params")
+
+    def __init__(self, form: str, lhs: Fraction, rhs: Fraction, holds: bool, strict: bool,
+                 radius_used, params: dict):
+        self.form = form
+        self.lhs = lhs
+        self.rhs = rhs
+        self.holds = holds
+        self.strict = strict
+        self.radius_used = radius_used
+        self.params = params
 
     def to_json_dict(self):
         return {

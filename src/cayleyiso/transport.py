@@ -40,7 +40,6 @@ an exiting pair (x, g) reads its exit point straight from its parent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .balls import INFINITE, BallTable, _degree_bound_violation, _search_budget, phi
@@ -66,7 +65,6 @@ __all__ = [
 LEMMAS = ("spheres", "balls", "transport", "counting", "ray-lower", "conclude", "fiber")
 
 
-@dataclass(frozen=True)
 class GeodesicWord:
     """A minimal-length expression of ``target`` with its prefix path.
 
@@ -75,9 +73,12 @@ class GeodesicWord:
     is the target.
     """
 
-    target: object
-    letters: tuple
-    prefixes: tuple
+    __slots__ = ("target", "letters", "prefixes")
+
+    def __init__(self, target, letters: tuple, prefixes: tuple):
+        self.target = target
+        self.letters = letters
+        self.prefixes = prefixes
 
     def __len__(self):
         return len(self.letters)
@@ -111,19 +112,24 @@ def geodesic_word(table: BallTable, g) -> GeodesicWord:
     return GeodesicWord(g, tuple(letters), tuple(prefixes))
 
 
-@dataclass
 class TransportLedger:
     """Exhaustive transport data for one (subset, radius) pair."""
 
-    omega: FiniteSubset
-    r: int
-    table: BallTable
-    omega_g: dict
-    rays: dict
-    exit_fibers: dict
-    sum_omega_g: int
-    sum_rays: int
-    max_fiber: int
+    __slots__ = ("omega", "r", "table", "omega_g", "rays", "exit_fibers", "sum_omega_g",
+                 "sum_rays", "max_fiber")
+
+    def __init__(self, omega: FiniteSubset, r: int, table: BallTable, omega_g: dict,
+                 rays: dict, exit_fibers: dict, sum_omega_g: int, sum_rays: int,
+                 max_fiber: int):
+        self.omega = omega
+        self.r = r
+        self.table = table
+        self.omega_g = omega_g
+        self.rays = rays
+        self.exit_fibers = exit_fibers
+        self.sum_omega_g = sum_omega_g
+        self.sum_rays = sum_rays
+        self.max_fiber = max_fiber
 
     def to_json_dict(self):
         group = self.omega.group
@@ -217,15 +223,17 @@ def build_ledger(omega: FiniteSubset, table: BallTable, r: int,
     )
 
 
-@dataclass(frozen=True)
 class LemmaReport:
     """Outcome of one verifier; a failure names its witness and falsifies the
     implementation, never the statement."""
 
-    which: str
-    holds: bool
-    witness: object
-    detail: str
+    __slots__ = ("which", "holds", "witness", "detail")
+
+    def __init__(self, which: str, holds: bool, witness, detail: str):
+        self.which = which
+        self.holds = holds
+        self.witness = witness
+        self.detail = detail
 
     def to_json_dict(self):
         return {

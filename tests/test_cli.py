@@ -4,6 +4,7 @@ import io
 import json
 import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 from unittest import mock
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cayleyiso
 from cayleyiso.balls import enumerate_ball
 from cayleyiso.cli import build_parser, main
 from cayleyiso.groups import make_group
@@ -107,6 +109,22 @@ def test_memory_budget_env(capsys, monkeypatch):
     code, _, err = run(capsys, ["growth", "--group", "z:2", "--radius", "10"])
     assert code == 1
     assert "exceeded" in err
+
+
+@pytest.mark.parametrize("value, message", [
+    ("abc", "not an integer: 'abc'"),
+    ("1.5", "not an integer: '1.5'"),
+    ("0", "must be >= 1, got 0"),
+])
+def test_memory_budget_env_checked_as_the_flag_is(capsys, monkeypatch, value, message):
+    argv = ["growth", "--group", "z:1", "--radius", "2"]
+    code, out, err = run(capsys, argv + ["--memory-budget", value])
+    assert (code, out) == (1, "")
+    assert err.endswith(f"cayleyiso growth: error: argument --memory-budget: {message}\n")
+    monkeypatch.setenv("CAYLEYISO_MEMORY_BUDGET", value)
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == f"cayleyiso growth: error: CAYLEYISO_MEMORY_BUDGET: {message}\n"
 
 
 # ------------------------------------------------------------- phi and avg
@@ -446,6 +464,18 @@ def test_unknown_option_reported_by_its_subcommand(capsys, argv, extra):
                         f"{' '.join(extra)}\n")
 
 
+@pytest.mark.parametrize("argv, prog", [
+    (["--frobnicate", "growth", "--group", "z:1", "--radius", "2"], "cayleyiso"),
+    (["growth", "--group", "z:1", "--frobnicate", "--radius", "2"], "cayleyiso growth"),
+], ids=["before-subcommand", "after-subcommand"])
+def test_unknown_option_reported_by_the_parser_at_its_place(capsys, argv, prog):
+    # the top level's usage before the subcommand's name, the subcommand's after it
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"usage: {prog} [-h]")
+    assert err.endswith(f"{prog}: error: unrecognized arguments: --frobnicate\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["growth", "--group", "z:1", "--radius", "2", "--memory-budget"],
     ["folner", "--group", "z:1", "--n"],
@@ -481,6 +511,20 @@ def test_decimal_rational_parsed_exactly(capsys):
     code, out, _ = run(capsys, ["phi", "--group", "z:1", "--volume", "4.5"])
     assert code == 0
     assert out.strip() == "2"
+
+
+# ------------------------------------------------------------------ imports
+
+@pytest.mark.parametrize("module", ["cayleyiso", "cayleyiso.cli"])
+def test_import_loads_no_dataclasses_inspect_or_battery(module):
+    # every command starts a fresh interpreter and pays for what the import
+    # loads; -S keeps the imports of site-packages' .pth files out of it
+    src = Path(cayleyiso.__file__).resolve().parents[1]
+    script = (f"import sys, {module}; print([name for name in "
+              "('dataclasses', 'inspect', 'cayleyiso.acceptance') if name in sys.modules])")
+    result = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                            text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert result.stdout == "[]\n"
 
 
 # ------------------------------------------------------- exit-code fuzzing

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -23,7 +25,7 @@ from cayleyiso.errors import (
     NotApplicable,
     RadiusOutOfRange,
 )
-from cayleyiso.folner import folner_exact
+from cayleyiso.folner import LowerBound, folner_exact
 from cayleyiso.groups import make_group
 from cayleyiso.isoperimetry import FiniteSubset
 
@@ -55,6 +57,28 @@ def test_folner_to_csc_exact_ceiling():
     # rho + c = 2 exactly: the smallest integral upper bound is 2, not 3
     out = folner_to_csc(FolnerBound(Fraction(1), Fraction(0), Fraction(1)), 3)
     assert out.alpha + 1 == 9
+
+
+def test_value_records_compare_and_hash_by_value():
+    # (field, value, an equal value built from other arguments, an unequal one)
+    cases = [
+        ("bound", LowerBound(11), LowerBound(11), LowerBound(12)),
+        ("c", CscBound(Fraction(1, 2), 1), CscBound(Fraction(2, 4), Fraction(1)),
+         CscBound(Fraction(1, 2), 2)),
+        ("rho", FolnerBound(1, 0, 2), FolnerBound(Fraction(1), Fraction(0), Fraction(2)),
+         FolnerBound(1, 0, 3)),
+        ("radius", BallSubsetsScope(), BallSubsetsScope(2), BallSubsetsScope(3)),
+        ("max_size", ConnectedScope(9), ConnectedScope(9), ConnectedScope(8)),
+    ]
+    for field, value, equal, unequal in cases:
+        assert value == equal and hash(value) == hash(equal)
+        assert value != unequal
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(unequal, field))
+        assert value == equal == copy.copy(value) == pickle.loads(pickle.dumps(value))
+    # equal fields of different types are different values
+    assert LowerBound(2) != ConnectedScope(2) != BallSubsetsScope(2)
+    assert CscBound(1, 0) != FolnerBound(1, 0, 0)
 
 
 def test_folner_to_csc_requires_generators():

@@ -1,10 +1,9 @@
-import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from cayleyiso.balls import INFINITE, enumerate_ball, phi, table_for_volume
+from cayleyiso.balls import INFINITE, BallTable, enumerate_ball, phi, table_for_volume
 from cayleyiso.errors import BadParams, EmptySet, HorizonExceeded, MalformedElement
 from cayleyiso.isoperimetry import (
     FORMS,
@@ -312,8 +311,9 @@ def test_equal_sides_pin_strictness(form, params, n, b):
     z = make_group("z:1")
     s = [1] + [b[r] - b[r - 1] for r in range(1, len(b))]
     length_sum = [sum(j * s[j] for j in range(r + 1)) for r in range(len(b))]
-    t = dataclasses.replace(enumerate_ball(z, len(b) - 1), b=b, s=s,
-                            length_sum=length_sum)
+    full = enumerate_ball(z, len(b) - 1)
+    t = BallTable(z, full.max_radius, full.elements, full.norm_of, b=b, s=s,
+                  length_sum=length_sum, exhausted=full.exhausted)
     report = check_inequality(z_interval(z, 0, n - 1), t, form, **params)
     assert report.radius_used == len(b) - 1
     assert report.lhs == report.rhs == Fraction(2, n)

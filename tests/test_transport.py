@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import random
@@ -7,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cayleyiso.balls import enumerate_ball, phi
+from cayleyiso.balls import BallTable, enumerate_ball, phi
 from cayleyiso.errors import (
     BadParams,
     EmptySet,
@@ -18,6 +17,7 @@ from cayleyiso.errors import (
 from cayleyiso.groups import make_group
 from cayleyiso.isoperimetry import FiniteSubset, boundary_ratio
 from cayleyiso.transport import (
+    TransportLedger,
     build_ledger,
     geodesic_word,
     verify_lemma,
@@ -244,7 +244,8 @@ def test_lemma_spheres_and_balls_all_groups(desc):
 
 def test_lemma_spheres_and_balls_report_first_violation():
     t = enumerate_ball(make_group("z:1"), 5)
-    broken = dataclasses.replace(t, s=[1, 2, 2, 5, 9, 2], b=[1, 3, 5, 16, 25, 27])
+    broken = BallTable(t.group, t.max_radius, t.elements, t.norm_of, b=[1, 3, 5, 16, 25, 27],
+                       s=[1, 2, 2, 5, 9, 2], length_sum=t.length_sum, exhausted=t.exhausted)
     spheres = verify_lemma("spheres", table=broken)
     assert (spheres.holds, spheres.witness, spheres.detail) == (
         False, {"r": 3}, "violated at radius 3")
@@ -310,11 +311,14 @@ def test_lemma_failures_name_their_witness():
     z = make_group("z:1")
     ledger = build_ledger(z_subset(z, [0, 1, 2]), enumerate_ball(z, 6), 3)
     assert ledger.sum_rays == 12
-    inflated = dataclasses.replace(
-        ledger, omega_g={**ledger.omega_g, (1,): ((0,), (1,), (2,))})
-    overcounted = dataclasses.replace(
-        ledger, exit_fibers={**ledger.exit_fibers, ((1,), (2,)): 2})
-    short = dataclasses.replace(ledger, rays={**ledger.rays, (0,): ()})
+
+    def altered(**changes):
+        fields = {name: getattr(ledger, name) for name in TransportLedger.__slots__}
+        return TransportLedger(**{**fields, **changes})
+
+    inflated = altered(omega_g={**ledger.omega_g, (1,): ((0,), (1,), (2,))})
+    overcounted = altered(exit_fibers={**ledger.exit_fibers, ((1,), (2,)): 2})
+    short = altered(rays={**ledger.rays, (0,): ()})
     cases = [
         (verify_lemma("transport", ledger=inflated),
          {"g": "1"}, "|W_g| = 3 exceeds |g| |bd W| = 2"),
