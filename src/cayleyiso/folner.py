@@ -71,25 +71,16 @@ witness, so the first achiever in canonical order, and every count and
 minimum, are those of the full scan.
 
 Parallel scan, after Mertens and Lautenbacher ("Counting lattice animals: a
-parallel attack", J. Stat. Phys. 66, 1992).  Split: the caller's process
-enumerates the sets of size up to 3 and tallies them itself; each node of
-size 3 becomes a task instead of being expanded, and the tasks are kept in
-canonical (depth-first) order.  Run: worker w of W, one per CPU of the
-affinity mask, runs tasks w, w+W, ... in increasing order; worker 0 is the
-caller, the others are forked.  Merge: per task in order, counts are added,
-and a task's minimum replaces the running one only if strictly lower.  A set
-larger than 3 lies below exactly one node of size 3, and the tasks partition
-the canonical order into consecutive runs, so this keeps the first achiever.
-Carry-over: a worker seeds each task's minimum of every size with the least
-boundary of that size it found in its own earlier tasks.  Those tasks all
-precede the current one, so a set of the current task that is not strictly
-below the seed of its size is not the first achiever of the global minimum,
-and the floors may skip it or settle the size; a task reports a minimum only
-when it is strictly below its seed, and then with its own first achiever.
-The seed is no lower than the running merged minimum before the task, so a
-task that found nothing new never wins the merge.  Counts, minima and
-witnesses are therefore those of the sequential scan, whatever the number of
-workers.
+parallel attack", J. Stat. Phys. 66, 1992).  The caller's process runs the
+canonical order in one state, and each node of size 3 met once every size
+above 3 has settled is deferred instead of expanded.  The deferred nodes are
+then dealt round-robin to the caller and to forked workers, one per CPU of
+the affinity mask, which count their subtrees with the counts-only recursion
+and send back one count list each; the caller adds them.  A deferred subtree
+holds only sets larger than 3, so it can change no minimum and no witness,
+as the size floors are sound lower bounds.  Counts, minima and witnesses are
+therefore those of the sequential scan, whatever the number of workers; a
+scan that never settles defers nothing and runs in the caller alone.
 """
 
 from __future__ import annotations
@@ -317,10 +308,11 @@ def _scan(adj, max_size, workers=None):
     above them: counted by arithmetic, and examined only while their size
     has not reached its size floor.  A subtree whose sizes have all reached
     their size floors is counted without being examined.  With more than one
-    worker (default: the CPUs of the affinity mask) the tree is split into
-    subtrees that run in forked processes, with the same result (see the
-    module docstring).  The scan stays in this process when ``max_size`` is
-    below 5 or when the process runs other threads.
+    worker (default: the CPUs of the affinity mask), the subtrees below the
+    nodes of size 3 met after every larger size has settled are counted in
+    forked processes, with the same result (see the module docstring).  The
+    scan forks nothing when it never settles, when ``max_size`` is below 5
+    or when the process runs other threads.
     """
     if workers is None:
         workers = _workers()
@@ -328,37 +320,29 @@ def _scan(adj, max_size, workers=None):
     # of the other threads, but may inherit locks they held
     parallel = workers > 1 and threading.active_count() == 1
     split = _SPLIT_SIZE if parallel and max_size >= _SPLIT_SIZE + 2 else 0
-    tasks = []
-    run = _enumerator(adj, max_size, split, tasks)
-    count, best, witness = run((), [0], 0, [max_size + 1] * (max_size + 1))
+    scan, count_share = _enumerator(adj, max_size, split)
+    count, best, witness, tasks = scan()
     processes = 1
     if tasks:
         processes = min(workers, len(tasks))
-        shares = _run_shares(run, tasks, processes, max_size)
-        for t in range(len(tasks)):
-            t_count, t_best, t_witness = shares[t % processes][t // processes]
-            for m in range(split + 1, max_size + 1):
-                count[m] += t_count[m]
-                if t_best[m] < best[m]:
-                    best[m] = t_best[m]
-                    witness[m] = t_witness[m]
+        for share in _count_shares(count_share, tasks, processes):
+            count = [c + s for c, s in zip(count, share)]
     min_boundary = [b if c else None for b, c in zip(best, count)]
     return count, min_boundary, witness, processes
 
 
-def _enumerator(adj, max_size, split=0, tasks=None):
-    """Return ``run(prefix, cands, bcount, least)``.
+def _enumerator(adj, max_size, split):
+    """Return ``(scan, count_share)`` over the canonical tree up to ``max_size``.
 
-    ``run`` enumerates the subtree of the canonical tree below the node whose
-    members are ``prefix`` (in the order they were added), whose candidate
-    list is ``cands`` and whose inner boundary has ``bcount`` members.
-    ``least`` seeds the minimum of every size: a set is only recorded when
-    it is strictly below the seed of its size, and ``max_size + 1`` is above
-    any boundary.  The root is ``run((), [0], 0, [max_size + 1] * (max_size +
-    1))``.  It returns per-size lists ``(count, best, witness)`` for the sets
-    below the node; ``best`` holds the seed where nothing below it was
-    found.  A node of size ``split`` (0: none) is not expanded; its
-    ``prefix, cands, bcount`` are appended to ``tasks`` instead.
+    ``scan()`` enumerates the tree from the root and returns per-size lists
+    ``(count, best, witness)`` and the deferred nodes: with ``split`` (0:
+    none), a node of size ``split`` is not expanded once every larger size
+    has settled, and its ``(prefix, cands)`` are deferred instead, where
+    ``prefix`` lists its members in the order they were added and ``cands``
+    is its candidate list.  Nodes below size ``split`` are always expanded.
+    ``count`` leaves out the sets below deferred nodes, and ``best`` is
+    ``max_size + 1`` where there are no sets.  ``count_share(share)`` returns
+    the per-size counts of the sets below the deferred nodes of ``share``.
     """
     n = len(adj)
     leaf_parent = max_size - 1
@@ -369,6 +353,7 @@ def _enumerator(adj, max_size, split=0, tasks=None):
     count = [0] * (max_size + 1)
     best = [max_size + 1] * (max_size + 1)  # above any boundary count
     witness = [None] * (max_size + 1)
+    tasks = []
     deg = len(adj[0])
     # nodes of this size count their two lower levels
     pair_size = max_size - 2
@@ -389,7 +374,7 @@ def _enumerator(adj, max_size, split=0, tasks=None):
             return
         nsize = size + 1
         for i, v in enumerate(cands):
-            if open_top <= size:
+            if open_top <= size and size >= split:
                 # no set below the remaining children is a strict improvement
                 count_only(cands[i:], size)
                 return
@@ -418,8 +403,8 @@ def _enumerator(adj, max_size, split=0, tasks=None):
                 new = [u for u in av if not occupied[u]]
                 for u in new:
                     occupied[u] = 1
-                if nsize == split:
-                    tasks.append((tuple(members), new + cands[i + 1:], bc))
+                if nsize == split and open_top <= split:
+                    tasks.append((tuple(members), new + cands[i + 1:]))
                 else:
                     rec(new + cands[i + 1:], nsize, bc)
                 for u in new:
@@ -524,63 +509,45 @@ def _enumerator(adj, max_size, split=0, tasks=None):
             best[max_size] = least
             settle()
 
-    def run(prefix, cands, bcount, least):
-        nonlocal open_top
-        count[:] = [0] * (max_size + 1)
-        best[:] = least
-        witness[:] = [None] * (max_size + 1)
-        open_top = max_size
+    def scan():
+        # the occupied vertices of a node are the identity and every
+        # neighbor of a member
         settle()
-        # replay the additions of the prefix; the occupied vertices of a node
-        # are the identity and every neighbor of a member
         occupied[0] = 1
-        for v in prefix:
-            od = 0
-            for u in adj[v]:
-                occupied[u] = 1
-                if in_set[u]:
-                    outdeg[u] -= 1
-                else:
-                    od += 1
-            outdeg[v] = od
-            in_set[v] = 1
-            members.append(v)
-        rec(cands, len(prefix), bcount)
-        for v in prefix:
-            in_set[v] = 0
-            for u in adj[v]:
-                occupied[u] = 0
+        rec([0], 0, 0)
         occupied[0] = 0
-        members.clear()
-        return list(count), list(best), list(witness)
+        return list(count), best, witness, tasks
 
-    return run
+    def count_share(share):
+        # counted from zero with ``occupied`` alone, replayed from each prefix
+        count[:] = [0] * (max_size + 1)
+        for prefix, cands in share:
+            occupied[0] = 1
+            for v in prefix:
+                for u in adj[v]:
+                    occupied[u] = 1
+            count_only(cands, split)
+            occupied[0] = 0
+            for v in prefix:
+                for u in adj[v]:
+                    occupied[u] = 0
+        return list(count)
+
+    return scan, count_share
 
 
-def _run_share(run, share, max_size):
-    """Run the tasks of ``share`` in order, each seeded with the minima of
-    every size found in the tasks before it."""
-    results = []
-    least = [max_size + 1] * (max_size + 1)
-    for prefix, cands, bcount in share:
-        result = run(prefix, cands, bcount, least)
-        least = result[1]
-        results.append(result)
-    return results
-
-
-def _run_shares(run, tasks, workers, max_size):
-    """Results of ``tasks[w::workers]`` for every worker w, in that order.
+def _count_shares(count_share, tasks, workers):
+    """Counts of ``tasks[w::workers]`` for every worker w, in that order.
 
     The caller's process is worker 0; workers 1.. are forked children that
-    send their results back through a pipe.  A child that fails or dies makes
+    send their counts back through a pipe.  A child that fails or dies makes
     this raise, and every child is reaped before it returns or raises.
     """
     children = []
     try:
         for w in range(1, workers):
-            children.append(_fork_share(run, tasks[w::workers], max_size))
-        shares = [_run_share(run, tasks[::workers], max_size)]
+            children.append(_fork_share(count_share, tasks[w::workers]))
+        shares = [count_share(tasks[::workers])]
         replies = [pipe.read() for _, pipe in children]
     except BaseException:
         for pid, _ in children:
@@ -601,9 +568,9 @@ def _run_shares(run, tasks, workers, max_size):
     return shares
 
 
-def _fork_share(run, share, max_size):
-    """Fork a child that runs ``share``; return its pid and the read end of
-    the pipe it writes ``(True, results)`` or ``(False, error text)`` to."""
+def _fork_share(count_share, share):
+    """Fork a child that counts ``share``; return its pid and the read end of
+    the pipe it writes ``(True, counts)`` or ``(False, error text)`` to."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -616,7 +583,7 @@ def _fork_share(run, share, max_size):
         try:
             os.close(read_fd)
             try:
-                reply = (True, _run_share(run, share, max_size))
+                reply = (True, count_share(share))
             except Exception as exc:
                 reply = (False, f"{type(exc).__name__}: {exc}")
             with open(write_fd, "wb") as pipe:
@@ -824,14 +791,17 @@ def folner_family_upper(group: Group, n: int) -> int:
             return 1
         raise NoFamilyForKind(f"no candidate family for {group.descriptor}")
     if isinstance(group, ZPowerD):
+        # the ratio falls as m grows and is at most 2d/m, so bisect for the
+        # least m in [2, 2dn + 2]
         d = group.d
-        m = 2
-        while True:
-            size = m ** d
-            boundary = size - max(m - 2, 0) ** d
-            if boundary * n <= size:
-                return size
-            m += 1
+        lo, hi = 2, 2 * d * n + 2
+        while lo < hi:
+            m = (lo + hi) // 2
+            if (m ** d - (m - 2) ** d) * n <= m ** d:
+                hi = m
+            else:
+                lo = m + 1
+        return lo ** d
     if isinstance(group, DihedralInfinite):
         return 2 * n
     if isinstance(group, LamplighterZ2):

@@ -83,18 +83,16 @@ def test_criterion_10_suite_determinism(suite):
 
 
 def _lose_last_share(monkeypatch):
-    """Make every forked scan lose its last worker's share."""
-    run_shares = folner._run_shares
+    """Make every forked scan lose its last worker's counts."""
+    count_shares = folner._count_shares
 
-    def lossy(run, tasks, workers, max_size):
+    def lossy(count_share, tasks, workers):
         # the last worker's tasks come back as if they held no sets
-        shares = run_shares(run, tasks, workers, max_size)
-        nothing = ([0] * (max_size + 1), [max_size + 1] * (max_size + 1),
-                   [None] * (max_size + 1))
-        shares[-1] = [nothing] * len(shares[-1])
+        shares = count_shares(count_share, tasks, workers)
+        shares[-1] = [0] * len(shares[-1])
         return shares
 
-    monkeypatch.setattr(folner, "_run_shares", lossy)
+    monkeypatch.setattr(folner, "_count_shares", lossy)
     # tables scanned under the fault must not outlive this test
     monkeypatch.setattr(folner, "_scan_cache", {})
 

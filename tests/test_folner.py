@@ -17,8 +17,6 @@ from cayleyiso.constants import BallSubsetsScope, CscBound, certify_at_scale
 from cayleyiso.errors import BadParams, InvalidParams, MemoryBudgetExceeded, NoFamilyForKind
 from cayleyiso.folner import (
     LowerBound,
-    _enumerator,
-    _run_share,
     _scan,
     _size_floors,
     _workers,
@@ -234,7 +232,7 @@ def _grown_connected_sets(root, neighbors, size):
     # z:2 at 5 and free:2 at 6 meet the size floor at deg+1 = 5
     ("lamplighter", 5), ("lamplighter", 6), ("heis", 7), ("z:2", 5), ("free:2", 6),
 ])
-def test_scan_matches_grown_sets(desc, size):
+def test_scan_matches_grown_sets(desc, size, monkeypatch):
     group = make_group(desc)
     # neighbors by the checked ``mul``
     levels = _grown_connected_sets(
@@ -253,30 +251,30 @@ def test_scan_matches_grown_sets(desc, size):
             elems = frozenset(index.elements[i] for i in witness[m])
             assert elems in levels[m]
             assert len(FiniteSubset(group, elems).boundary_set()) == min_boundary[m]
-    # seeded just above the minimum, the floors skip from the first node on,
-    # so a floor above some minimizer's boundary would lose the minimum
-    run = _enumerator(index.adj, size)
-    unseeded = [size + 1] * size
-    _, seeded_best, seeded_witness = run((), [0], 0, unseeded + [min_boundary[size] + 1])
-    assert seeded_best[size] == min_boundary[size]
-    assert seeded_witness[size] == witness[size]
-    # every smaller size seeded just above its minimum and the leaf at
-    # exactly its minimum: where that is the leaf's size floor, leaf parents
-    # are peeked and never materialized from the first node on, so a skipped
+    # floors at the minima, the tightest sound ones: each size settles at its
+    # first minimizer, the most the floors can skip, and nothing may move
+    with monkeypatch.context() as patch:
+        patch.setattr(folner, "_size_floors", lambda adj, k: [0] + min_boundary[1:])
+        for workers in (1, 2, 3):
+            assert _scan(index.adj, size, workers=workers)[:3] == (count, min_boundary, witness)
+    # the leaf size settled from the root (floor size + 1) and every smaller
+    # size open throughout (floor one below its minimum): leaf parents are
+    # peeked and never materialized from the first node on, so a skipped
     # minimizer of the leaf parents' size would lose that size's minimum or
     # its first achiever
-    least = [size + 1] + [b + 1 for b in min_boundary[1:size]] + [min_boundary[size]]
-    seeded_count, seeded_best, seeded_witness = run((), [0], 0, least)
-    assert seeded_count == count
-    assert seeded_best[1:size] == min_boundary[1:size]
-    assert seeded_witness[:size] == witness[:size]
+    floors = [0] + [b - 1 for b in min_boundary[1:size]] + [size + 1]
+    with monkeypatch.context() as patch:
+        patch.setattr(folner, "_size_floors", lambda adj, k: floors)
+        peeked_count, peeked_min, peeked_witness, _ = _scan(index.adj, size, workers=1)
+    assert peeked_count == count
+    assert peeked_min[1:size] == min_boundary[1:size]
+    assert peeked_witness[:size] == witness[:size]
 
 
-def test_scan_on_circulants_matches_grown_sets():
+def test_scan_on_circulants_matches_grown_sets(monkeypatch):
     # circulants, the Cayley graphs of Z/n with a symmetric step set: finite
     # dense graphs where large sets have small or empty boundaries; with the
-    # leaf minimum seeded just above the true one, a size floor above some
-    # minimizer's boundary would lose the minimum
+    # floors at the minima, every size settles at its first minimizer
     for n in range(5, 10):
         for adj in _circulants(n):
             size = min(n, 7)
@@ -289,10 +287,13 @@ def test_scan_on_circulants_matches_grown_sets():
             for workers in (1, 2):
                 got_count, got_min, _, _ = _scan(adj, size, workers=workers)
                 assert (got_count, got_min) == (count, min_boundary), adj[0]
-            if min_boundary[size] is not None:
-                run = _enumerator(adj, size)
-                seeded = run((), [0], 0, [size + 1] * size + [min_boundary[size] + 1])
-                assert seeded[1][size] == min_boundary[size], adj[0]
+            # a size with no sets has nothing to settle
+            floors = [0] + [b or 0 for b in min_boundary[1:]]
+            with monkeypatch.context() as patch:
+                patch.setattr(folner, "_size_floors", lambda adj, k: floors)
+                for workers in (1, 2):
+                    got_count, got_min, _, _ = _scan(adj, size, workers=workers)
+                    assert (got_count, got_min) == (count, min_boundary), adj[0]
 
 
 def _circulants(n):
@@ -393,45 +394,27 @@ def test_size_floor_search_is_bounded(desc):
 
 
 @pytest.mark.parametrize("name", SCANNED_GROUPS)
-def test_counts_only_path_counts_every_set(name):
-    # seeded at 0, every size is settled from the root on, so the whole tree
-    # is counted by the counts-only recursion and the shared pair arithmetic
+def test_counts_only_path_counts_every_set(name, monkeypatch):
+    # floors above any boundary settle every size from the root on, so the
+    # whole tree is counted by the counts-only recursion and the shared pair
+    # arithmetic; with 2 workers the top of the tree is still expanded, and
+    # from size 5 on every node of size 3 is deferred to the count shares
     group = KERNEL_GROUPS[name]()
     count, _ = _tally(name)
     for size in range(1, 8):
         adj = adjacency_index(group, size).adj
-        run = _enumerator(adj, size)
-        counted, best, witness = run((), [0], 0, [0] * (size + 1))
-        assert counted == _scan(adj, size, workers=1)[0], size
+        scanned = _scan(adj, size, workers=1)[0]
+        with monkeypatch.context() as patch:
+            patch.setattr(folner, "_size_floors", lambda adj, k: [k + 1] * (k + 1))
+            counted, min_boundary, witness, _ = _scan(adj, size, workers=1)
+            shared, _, _, processes = _scan(adj, size, workers=2)
+        assert counted == shared == scanned, size
         if size < len(count):
             assert counted == count[:size + 1], size
-        assert best == [0] * (size + 1)
+        # no set was examined
+        assert min_boundary == [size + 1 if c else None for c in counted]
         assert witness == [None] * (size + 1)
-
-
-def test_later_tasks_settle_on_carried_minima():
-    # a worker seeds each task with every size's minimum from its earlier
-    # tasks; a later task then finds nothing new at sizes below the leaves
-    # and counts where it would have searched
-    size = 7
-    adj = adjacency_index(make_group("heis"), size).adj
-    tasks = []
-    run = _enumerator(adj, size, 3, tasks)
-    run((), [0], 0, [size + 1] * (size + 1))
-    carried = _run_share(run, tasks, size)
-    seed = [size + 1] * (size + 1)
-    settled = 0
-    for task, result in zip(tasks, carried):
-        alone = run(*task, [size + 1] * (size + 1))
-        assert result[0] == alone[0]
-        for m in range(4, size + 1):
-            if alone[1][m] < seed[m]:
-                assert (result[1][m], result[2][m]) == (alone[1][m], alone[2][m])
-            else:
-                assert (result[1][m], result[2][m]) == (seed[m], None)
-                settled += m < size and alone[2][m] is not None
-        seed = result[1]
-    assert settled
+        assert processes == (min(2, counted[3]) if size >= 5 else 1)
 
 
 
@@ -524,7 +507,14 @@ def test_parallel_scan_equals_sequential(desc):
     for workers in (2, 3, 100, None):
         *parallel, processes = _scan(adj, size, workers=workers)
         assert parallel == sequential
-        assert processes == min(workers or _workers(), tasks)
+        if desc in ("z:1", "dinf"):
+            # the floors above size 3 are 0, so the scan never settles and
+            # forks nothing
+            assert processes == 1
+        else:
+            # every size settles within the first task, and the later nodes
+            # of size 3 are dealt to the workers
+            assert processes == min(workers or _workers(), tasks - 1)
 
 
 class _FailsInChild(tuple):
@@ -675,6 +665,32 @@ def test_family_upper_examples():
     assert folner_family_upper(make_group("lamplighter"), 2) == 64
     for desc in ("z:1", "z:2", "dinf", "lamplighter"):
         assert folner_family_upper(make_group(desc), 1) == 1
+
+
+def _stepped_family_upper(d, n):
+    """The family bound on Z^d by the earlier loop, one side m at a time."""
+    m = 2
+    while True:
+        size = m ** d
+        boundary = size - max(m - 2, 0) ** d
+        if boundary * n <= size:
+            return size
+        m += 1
+
+
+def test_family_upper_on_z_d_bisects():
+    # the stepping loop takes about 2dn steps; the bisection must agree with
+    # it and answer a huge n at once
+    for d in (1, 2, 3):
+        group = make_group(f"z:{d}")
+        for n in range(2, 201):
+            assert folner_family_upper(group, n) == _stepped_family_upper(d, n), (d, n)
+        with _time_limit(10):
+            start = time.perf_counter()
+            folner_family_upper(group, 10 ** 12)
+            assert time.perf_counter() - start < 1
+    # the path segment of 2n vertices has two boundary members
+    assert folner_family_upper(make_group("z:1"), 10 ** 12) == 2 * 10 ** 12
 
 
 def test_family_upper_no_family():
