@@ -41,7 +41,7 @@ from .constants import (
     folner_to_csc,
     quotient_estimate,
 )
-from .errors import CayleyIsoError, NoFamilyForKind, PreconditionUnmet
+from .errors import CayleyIsoError, PreconditionUnmet
 from .folner import folner_exact, folner_family_upper
 from .groups import ZPowerD, make_group
 from .isoperimetry import (
@@ -93,13 +93,14 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="cayleyiso", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, omega=False, formats=True):
+    def common(p, omega=False, formats=True, budget=True):
         p.add_argument("--group", required=True, help="z:<d>, free:<rank>, dinf, heis, lamplighter")
         if formats:
             p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", default="-", help="output path, '-' for stdout")
-        p.add_argument("--memory-budget", type=_positive_int, default=None,
-                       help="max enumerated elements (default from environment)")
+        if budget:
+            p.add_argument("--memory-budget", type=_positive_int, default=None,
+                           help="max enumerated elements (default from environment)")
         if omega:
             p.add_argument("--omega", default=None, help="integer range a..b (z:1 only)")
             p.add_argument("--omega-file", default=None,
@@ -118,7 +119,8 @@ def build_parser() -> _Parser:
     p.add_argument("--r", type=int, required=True)
 
     p = sub.add_parser("boundary", help="inner boundary and boundary ratio of a subset")
-    common(p, omega=True)
+    # it enumerates no ball, so it takes no memory budget
+    common(p, omega=True, budget=False)
 
     p = sub.add_parser("check", help="evaluate one isoperimetric inequality form")
     common(p, omega=True)
@@ -306,29 +308,10 @@ def _cmd_transport(args) -> tuple:
     return payload, "\n".join(lines), falsified
 
 
-def _check_printable(value, what: str) -> None:
-    """Raise a typed error where the interpreter's limit on the digits of an
-    int turned into text would stop ``str`` and ``json.dumps`` on ``value``."""
-    try:
-        str(value)
-    except ValueError:
-        raise CayleyIsoError(
-            f"{what} has more than {sys.get_int_max_str_digits()} decimal digits, "
-            "the interpreter's limit for printing an integer "
-            "(PYTHONINTMAXSTRDIGITS sets it)") from None
-
-
 def _cmd_folner(args) -> tuple:
     group = make_group(args.group)
-    try:
-        family = folner_family_upper(group, args.n)
-    except NoFamilyForKind:
-        if args.family_only:
-            raise
-        family = None
-    # before the scan, which can run for a minute
-    _check_printable(family, f"the family upper bound for n={args.n}")
     if args.family_only:
+        family = folner_family_upper(group, args.n)
         payload = {"group": group.descriptor, "n": args.n, "family_upper": family}
         return payload, f"n,family_upper\n{args.n},{family}", []
     record = folner_exact(group, args.n, args.cap, max_elements=_budget(args))

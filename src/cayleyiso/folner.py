@@ -88,6 +88,7 @@ from __future__ import annotations
 import marshal
 import os
 import signal
+import sys
 import threading
 from fractions import Fraction
 
@@ -308,42 +309,21 @@ def _scan(adj, max_size, workers=None):
     above them: counted by arithmetic, and examined only while their size
     has not reached its size floor.  A subtree whose sizes have all reached
     their size floors is counted without being examined.  With more than one
-    worker (default: the CPUs of the affinity mask), the subtrees below the
-    nodes of size 3 met after every larger size has settled are counted in
-    forked processes, with the same result (see the module docstring).  The
-    scan forks nothing when it never settles, when ``max_size`` is below 5
-    or when the process runs other threads.
+    worker (default: the CPUs of the affinity mask), each node of size 3 met
+    after every larger size has settled is deferred as a task ``(prefix,
+    cands)``, its members in the order they were added and its candidates,
+    and :func:`_count_shares` counts the tasks, partly in forked processes,
+    with the same result (see the module docstring).  The scan forks nothing
+    when it never settles, when ``max_size`` is below 5 or when the process
+    runs other threads.
     """
     if workers is None:
         workers = _workers()
     # fork only from a single-threaded process: a forked child gets no copy
     # of the other threads, but may inherit locks they held
     parallel = workers > 1 and threading.active_count() == 1
+    # the size of the deferred nodes (0: none); smaller ones are expanded
     split = _SPLIT_SIZE if parallel and max_size >= _SPLIT_SIZE + 2 else 0
-    scan, count_share = _enumerator(adj, max_size, split)
-    count, best, witness, tasks = scan()
-    processes = 1
-    if tasks:
-        processes = min(workers, len(tasks))
-        for share in _count_shares(count_share, tasks, processes):
-            count = [c + s for c, s in zip(count, share)]
-    min_boundary = [b if c else None for b, c in zip(best, count)]
-    return count, min_boundary, witness, processes
-
-
-def _enumerator(adj, max_size, split):
-    """Return ``(scan, count_share)`` over the canonical tree up to ``max_size``.
-
-    ``scan()`` enumerates the tree from the root and returns per-size lists
-    ``(count, best, witness)`` and the deferred nodes: with ``split`` (0:
-    none), a node of size ``split`` is not expanded once every larger size
-    has settled, and its ``(prefix, cands)`` are deferred instead, where
-    ``prefix`` lists its members in the order they were added and ``cands``
-    is its candidate list.  Nodes below size ``split`` are always expanded.
-    ``count`` leaves out the sets below deferred nodes, and ``best`` is
-    ``max_size + 1`` where there are no sets.  ``count_share(share)`` returns
-    the per-size counts of the sets below the deferred nodes of ``share``.
-    """
     n = len(adj)
     leaf_parent = max_size - 1
     in_set = bytearray(n)
@@ -509,44 +489,67 @@ def _enumerator(adj, max_size, split):
             best[max_size] = least
             settle()
 
-    def scan():
-        # the occupied vertices of a node are the identity and every
-        # neighbor of a member
-        settle()
-        occupied[0] = 1
-        rec([0], 0, 0)
-        occupied[0] = 0
-        return list(count), best, witness, tasks
-
     def count_share(share):
-        # counted from zero with ``occupied`` alone, replayed from each prefix
-        count[:] = [0] * (max_size + 1)
+        # per-size counts below the tasks of ``share``, into a fresh list
+        nonlocal count
+        count = [0] * (max_size + 1)
         for prefix, cands in share:
-            occupied[0] = 1
-            for v in prefix:
-                for u in adj[v]:
-                    occupied[u] = 1
+            hood = [0] + [u for v in prefix for u in adj[v]]
+            for u in hood:
+                occupied[u] = 1
             count_only(cands, split)
-            occupied[0] = 0
-            for v in prefix:
-                for u in adj[v]:
-                    occupied[u] = 0
-        return list(count)
+            for u in hood:
+                occupied[u] = 0
+        return count
 
-    return scan, count_share
+    # the occupied vertices of a node are the identity and every neighbor of
+    # a member
+    settle()
+    occupied[0] = 1
+    rec([0], 0, 0)
+    total = count
+    processes = 1
+    if tasks:
+        processes = min(workers, len(tasks))
+        for share in _count_shares(count_share, tasks, processes):
+            total = [c + s for c, s in zip(total, share)]
+    min_boundary = [b if c else None for b, c in zip(best, total)]
+    return total, min_boundary, witness, processes
 
 
 def _count_shares(count_share, tasks, workers):
     """Counts of ``tasks[w::workers]`` for every worker w, in that order.
 
-    The caller's process is worker 0; workers 1.. are forked children that
-    send their counts back through a pipe.  A child that fails or dies makes
-    this raise, and every child is reaped before it returns or raises.
+    The caller's process is worker 0; workers 1.. are forked children, each
+    of which writes ``(True, counts)`` or ``(False, error text)`` to its
+    pipe.  A child that fails or dies makes this raise, and every child is
+    reaped before it returns or raises.
     """
     children = []
     try:
         for w in range(1, workers):
-            children.append(_fork_share(count_share, tasks[w::workers]))
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:  # the child never returns into the caller
+                code = 1
+                try:
+                    os.close(read_fd)
+                    try:
+                        reply = (True, count_share(tasks[w::workers]))
+                    except Exception as exc:
+                        reply = (False, f"{type(exc).__name__}: {exc}")
+                    with open(write_fd, "wb") as pipe:
+                        marshal.dump(reply, pipe)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
         shares = [count_share(tasks[::workers])]
         replies = [pipe.read() for _, pipe in children]
     except BaseException:
@@ -566,33 +569,6 @@ def _count_shares(count_share, tasks, workers):
             raise RuntimeError(f"scan worker {w} failed: {value}")
         shares.append(value)
     return shares
-
-
-def _fork_share(count_share, share):
-    """Fork a child that counts ``share``; return its pid and the read end of
-    the pipe it writes ``(True, counts)`` or ``(False, error text)`` to."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:  # the child never returns into the caller
-        code = 1
-        try:
-            os.close(read_fd)
-            try:
-                reply = (True, count_share(share))
-            except Exception as exc:
-                reply = (False, f"{type(exc).__name__}: {exc}")
-            with open(write_fd, "wb") as pipe:
-                marshal.dump(reply, pipe)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
 
 
 class MinRatioTable:
@@ -754,7 +730,10 @@ def folner_exact(group: Group, n: int, cap: int,
     sentinel for n >= 2 on groups configured non-amenable.  ``max_elements``
     is the element budget of the ball the search runs in.
     """
-    family = _family_upper_or_none(group, n)  # checks n
+    try:
+        family = folner_family_upper(group, n)  # checks n
+    except NoFamilyForKind:
+        family = None
     _check_positive_int(cap, "cap")
     if n == 1:
         # every non-empty set has ratio <= 1 and the singleton attains it
@@ -769,13 +748,6 @@ def folner_exact(group: Group, n: int, cap: int,
     return FolnerRecord(n, LowerBound(cap + 1), None, cap, family)
 
 
-def _family_upper_or_none(group: Group, n: int):
-    try:
-        return folner_family_upper(group, n)
-    except NoFamilyForKind:
-        return None
-
-
 def folner_family_upper(group: Group, n: int) -> int:
     """Size of the smallest closed-family member with boundary ratio <= 1/n.
 
@@ -783,13 +755,15 @@ def folner_family_upper(group: Group, n: int) -> int:
     in the dihedral path graph (ratio 2/m), and position-interval-with-lamps
     rectangles in the lamplighter (size m 2^m, ratio 2/m).  The singleton is a
     degenerate member of every family, which settles n = 1.  Always an upper
-    bound for the Folner value; never claimed minimal.
+    bound for the Folner value; never claimed minimal.  Raises
+    :class:`BadParams`, before building it, when the lamplighter's bound has
+    more decimal digits than the interpreter prints.
     """
     _check_positive_int(n, "n")
-    if n == 1:
-        if isinstance(group, (ZPowerD, DihedralInfinite, LamplighterZ2)):
-            return 1
+    if not isinstance(group, (ZPowerD, DihedralInfinite, LamplighterZ2)):
         raise NoFamilyForKind(f"no candidate family for {group.descriptor}")
+    if n == 1:
+        return 1
     if isinstance(group, ZPowerD):
         # the ratio falls as m grows and is at most 2d/m, so bisect for the
         # least m in [2, 2dn + 2]
@@ -804,7 +778,13 @@ def folner_family_upper(group: Group, n: int) -> int:
         return lo ** d
     if isinstance(group, DihedralInfinite):
         return 2 * n
-    if isinstance(group, LamplighterZ2):
-        m = 2 * n
-        return m * 2 ** m
-    raise NoFamilyForKind(f"no candidate family for {group.descriptor}")
+    m = 2 * n
+    # m 2^m has m + bit_length(m) bits, and str() refuses values of 10^limit
+    # and above (limit 0: no limit, as on interpreters without one)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    bits, top = m + m.bit_length(), (10 ** limit).bit_length()
+    if limit and (bits > top or bits == top and m << m >= 10 ** limit):
+        raise BadParams(f"the family upper bound for n={n} has more than {limit} decimal "
+                        "digits, the interpreter's limit for printing an integer "
+                        "(PYTHONINTMAXSTRDIGITS sets it)")
+    return m << m

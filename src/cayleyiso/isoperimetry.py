@@ -47,6 +47,8 @@ __all__ = [
 
 FORMS = ("csc-original", "avg-growth", "growth-cor", "epsilon", "pete-correia")
 STRICT_FORMS = frozenset({"epsilon", "pete-correia"})
+# the one parameter a form takes; the others take none
+_FORM_PARAM = {"avg-growth": "alpha", "growth-cor": "alpha", "epsilon": "eps"}
 
 
 class FiniteSubset:
@@ -198,15 +200,20 @@ def inequality_volume(form: str, size: int, alpha=None, eps=None):
     """Volume at which ``form`` evaluates Phi for a subset of cardinality ``size``.
 
     Validates the form, the size and the parameter the form needs (``alpha``
-    or ``eps``); :func:`inequality_rhs` and the command line share it.
+    or ``eps``), and refuses a parameter the form does not take;
+    :func:`inequality_rhs` and the command line share it.
     """
     if form not in FORMS:
         raise BadParams(f"unknown inequality form {form!r}")
+    takes = _FORM_PARAM.get(form)
+    for name, value in (("alpha", alpha), ("eps", eps)):
+        if value is not None and name != takes:
+            raise BadParams(f"form {form} takes no {name}")
     if size < 1:
         raise EmptySet("inequality forms require a non-empty subset")
-    if form in ("csc-original", "pete-correia"):
+    if takes is None:
         return 2 * size
-    if form in ("avg-growth", "growth-cor"):
+    if takes == "alpha":
         alpha = _exact_alpha(alpha)
         p, q = alpha.numerator, alpha.denominator
         return Fraction((p + q) * size, q)

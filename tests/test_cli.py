@@ -206,6 +206,15 @@ def test_boundary_range_rejected_off_line(capsys):
     assert "omega-file" in err
 
 
+def test_boundary_takes_no_memory_budget(capsys):
+    # the boundary of a given subset enumerates no ball
+    code, out, err = run(capsys, ["boundary", "--group", "z:1", "--omega", "0..3",
+                                  "--memory-budget", "1"])
+    assert (code, out) == (1, "")
+    assert err.endswith("cayleyiso boundary: error: unrecognized arguments: "
+                        "--memory-budget 1\n")
+
+
 # -------------------------------------------------------------------- check
 
 def test_check_pete_correia(capsys):
@@ -245,6 +254,19 @@ def test_check_unknown_form(capsys):
     code, _, err = run(capsys, ["check", "--group", "z:1", "--form", "bogus",
                                 "--omega", "0..2"])
     assert code == 1
+
+
+@pytest.mark.parametrize("form, given, foreign", [
+    ("csc-original", ["--alpha", "5", "--eps", "1/2"], "alpha"),
+    ("pete-correia", ["--eps", "1/2"], "eps"),
+    ("epsilon", ["--eps", "1/2", "--alpha", "7"], "alpha"),
+    ("avg-growth", ["--alpha", "1", "--eps", "1/2"], "eps"),
+])
+def test_check_refuses_a_parameter_the_form_does_not_take(capsys, form, given, foreign):
+    code, out, err = run(capsys, ["check", "--group", "z:1", "--omega", "0..3",
+                                  "--form", form] + given)
+    assert (code, out) == (1, "")
+    assert err == f"cayleyiso check: error: form {form} takes no {foreign}\n"
 
 
 # ---------------------------------------------------------------- transport
@@ -350,6 +372,24 @@ def test_folner_family_bound_past_the_digit_limit(capsys, fmt, family_only):
     assert err == ("cayleyiso folner: error: the family upper bound for n=10000 has more "
                    f"than {sys.get_int_max_str_digits()} decimal digits, the interpreter's "
                    "limit for printing an integer (PYTHONINTMAXSTRDIGITS sets it)\n")
+
+
+@pytest.mark.parametrize("family_only", [True, False])
+def test_folner_family_bound_refused_before_it_is_built(capsys, family_only):
+    # m 2^m with m = 2 10^12 would take 250 GB, so the refusal must come from
+    # its bit length; the limit is pinned, as 0 would build it
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter prints integers of any length")
+    argv = ["folner", "--group", "lamplighter", "--n", "1000000000000"]
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(capsys, argv + ["--family-only"] * family_only)
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert (code, out) == (1, "")
+    assert err.startswith("cayleyiso folner: error: the family upper bound for "
+                          "n=1000000000000 has more than 4300 decimal digits")
 
 
 def test_folner_infinite_json(capsys):

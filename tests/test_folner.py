@@ -3,6 +3,7 @@ import itertools
 import os
 import random
 import signal
+import sys
 import threading
 import time
 import tracemalloc
@@ -698,6 +699,76 @@ def test_family_upper_no_family():
         folner_family_upper(make_group("free:2"), 2)
     with pytest.raises(NoFamilyForKind):
         folner_family_upper(make_group("heis"), 1)
+
+
+_NEEDS_DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                                        reason="this interpreter prints integers of any length")
+
+
+@contextmanager
+def _digit_limit(limit):
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def _lamplighter_family(n):
+    return 2 * n * 2 ** (2 * n)
+
+
+@_NEEDS_DIGIT_LIMIT
+@pytest.mark.parametrize("limit", [640, 641, 665, 1000, 4300, 5000])
+def test_family_upper_refused_exactly_past_the_digit_limit(limit):
+    # the lamplighter bound is refused exactly where str() would refuse it;
+    # at 641 and 1000 a printable bound, and at 665 an unprintable one, has
+    # as many bits as 10^limit
+    with _digit_limit(0):
+        # the least n whose bound has more than ``limit`` digits
+        lo, hi = 1, 2 * limit
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if len(str(_lamplighter_family(mid))) > limit:
+                hi = mid
+            else:
+                lo = mid + 1
+        window = range(lo - 40, lo + 8)
+        printable = {n: len(str(_lamplighter_family(n))) <= limit for n in window}
+    group = make_group("lamplighter")
+    with _digit_limit(limit):
+        for n in window:
+            if printable[n]:
+                assert folner_family_upper(group, n) == _lamplighter_family(n)
+            else:
+                with pytest.raises(BadParams, match=f"n={n} has more than {limit} decimal"):
+                    folner_family_upper(group, n)
+
+
+@_NEEDS_DIGIT_LIMIT
+def test_family_upper_refused_before_it_is_built():
+    # m 2^m with m = 2 10^12 would take 250 GB
+    tracemalloc.start()
+    try:
+        with _digit_limit(4300), _time_limit(10):
+            start = time.perf_counter()
+            with pytest.raises(BadParams, match="decimal digits"):
+                folner_family_upper(make_group("lamplighter"), 10 ** 12)
+            elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1
+    assert peak < 1 << 20, f"traced peak {peak} bytes"
+
+
+@_NEEDS_DIGIT_LIMIT
+def test_folner_exact_refuses_an_unprintable_family_bound():
+    # before the scan: a record whose bound could not be printed or encoded
+    with _digit_limit(4300), _time_limit(10):
+        with pytest.raises(BadParams, match="n=10000 has more than 4300 decimal digits"):
+            folner_exact(make_group("lamplighter"), 10000, 9)
 
 
 def test_family_upper_dominates_exact_values():

@@ -12,6 +12,7 @@ from cayleyiso.isoperimetry import (
     boundary_ratio,
     check_inequality,
     inequality_rhs,
+    inequality_volume,
 )
 from cayleyiso.groups import make_group
 
@@ -154,6 +155,24 @@ def test_param_validation():
         check_inequality(omega, t, "avg-growth", alpha=0.5)
     with pytest.raises(EmptySet):
         check_inequality(FiniteSubset(z, []), t, "pete-correia")
+
+
+@pytest.mark.parametrize("form, params, foreign", [
+    ("csc-original", {"alpha": 5, "eps": Fraction(1, 2)}, "alpha"),
+    ("pete-correia", {"eps": Fraction(1, 2)}, "eps"),
+    ("avg-growth", {"alpha": 1, "eps": Fraction(1, 2)}, "eps"),
+    ("growth-cor", {"alpha": 1, "eps": Fraction(1, 2)}, "eps"),
+    ("epsilon", {"eps": Fraction(1, 2), "alpha": 7}, "alpha"),
+])
+def test_foreign_parameter_refused(form, params, foreign):
+    # a parameter the form does not take is an error, not silently ignored
+    z = make_group("z:1")
+    omega = z_interval(z, 0, 3)
+    message = f"form {form} takes no {foreign}"
+    with pytest.raises(BadParams, match=message):
+        inequality_volume(form, 4, **params)
+    with pytest.raises(BadParams, match=message):
+        check_inequality(omega, enumerate_ball(z, 12), form, **params)
 
 
 def test_rhs_ordering_properties():
