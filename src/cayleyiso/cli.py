@@ -119,7 +119,6 @@ def build_parser() -> _Parser:
     p.add_argument("--r", type=int, required=True)
 
     p = sub.add_parser("boundary", help="inner boundary and boundary ratio of a subset")
-    # it enumerates no ball, so it takes no memory budget
     common(p, omega=True, budget=False)
 
     p = sub.add_parser("check", help="evaluate one isoperimetric inequality form")

@@ -756,17 +756,20 @@ def folner_family_upper(group: Group, n: int) -> int:
     rectangles in the lamplighter (size m 2^m, ratio 2/m).  The singleton is a
     degenerate member of every family, which settles n = 1.  Always an upper
     bound for the Folner value; never claimed minimal.  Raises
-    :class:`BadParams`, before building it, when the lamplighter's bound has
-    more decimal digits than the interpreter prints.
+    :class:`BadParams`, from its bit length, for a bound too long to print.
     """
     _check_positive_int(n, "n")
     if not isinstance(group, (ZPowerD, DihedralInfinite, LamplighterZ2)):
         raise NoFamilyForKind(f"no candidate family for {group.descriptor}")
     if n == 1:
         return 1
-    if isinstance(group, ZPowerD):
-        # the ratio falls as m grows and is at most 2d/m, so bisect for the
-        # least m in [2, 2dn + 2]
+    if isinstance(group, LamplighterZ2):
+        m = 2 * n
+        bits, build = m + m.bit_length(), lambda: m << m  # built once printable
+    elif isinstance(group, DihedralInfinite):
+        bits, build = (2 * n).bit_length(), lambda: 2 * n
+    else:
+        # the ratio falls as m grows and is at most 2d/m: bisect m in [2, 2dn + 2]
         d = group.d
         lo, hi = 2, 2 * d * n + 2
         while lo < hi:
@@ -775,16 +778,13 @@ def folner_family_upper(group: Group, n: int) -> int:
                 hi = m
             else:
                 lo = m + 1
-        return lo ** d
-    if isinstance(group, DihedralInfinite):
-        return 2 * n
-    m = 2 * n
-    # m 2^m has m + bit_length(m) bits, and str() refuses values of 10^limit
-    # and above (limit 0: no limit, as on interpreters without one)
+        bound = lo ** d
+        bits, build = bound.bit_length(), lambda: bound
+    # str() refuses 10^limit and up (0: no limit); as 8^limit < 10^limit < 16^limit,
+    # the bits decide outside (3 limit, 4 limit], where the bound is as long as its text
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    bits, top = m + m.bit_length(), (10 ** limit).bit_length()
-    if limit and (bits > top or bits == top and m << m >= 10 ** limit):
+    if limit and bits > 3 * limit and (bits > 4 * limit or build() >= 10 ** limit):
         raise BadParams(f"the family upper bound for n={n} has more than {limit} decimal "
                         "digits, the interpreter's limit for printing an integer "
                         "(PYTHONINTMAXSTRDIGITS sets it)")
-    return m << m
+    return build()

@@ -392,6 +392,23 @@ def test_folner_family_bound_refused_before_it_is_built(capsys, family_only):
                           "n=1000000000000 has more than 4300 decimal digits")
 
 
+@pytest.mark.parametrize("family_only", [True, False])
+def test_folner_box_bound_past_the_digit_limit(capsys, family_only):
+    # the z:2000 box for n = 5 has side near 17,927, so about 8,500 digits
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter prints integers of any length")
+    argv = ["folner", "--group", "z:2000", "--n", "5"]
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(capsys, argv + ["--family-only"] * family_only)
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert (code, out) == (1, "")
+    assert err.startswith("cayleyiso folner: error: the family upper bound for "
+                          "n=5 has more than 4300 decimal digits")
+
+
 def test_folner_infinite_json(capsys):
     code, out, _ = run(capsys, ["folner", "--group", "free:2", "--n", "3",
                                 "--cap", "4", "--format", "json"])

@@ -746,6 +746,64 @@ def test_family_upper_refused_exactly_past_the_digit_limit(limit):
                     folner_family_upper(group, n)
 
 
+def _least_unprintable_n(group, limit):
+    # the least n whose family bound has more than ``limit`` digits; the bound
+    # grows with n
+    with _digit_limit(0):
+        hi = 1
+        while len(str(folner_family_upper(group, hi))) <= limit:
+            hi *= 2
+        lo = hi // 2 + 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if len(str(folner_family_upper(group, mid))) > limit:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+
+@_NEEDS_DIGIT_LIMIT
+@pytest.mark.parametrize("descriptor", ["dinf", "z:40", "z:100"])
+@pytest.mark.parametrize("limit", [640, 1000])
+def test_every_family_refused_exactly_past_the_digit_limit(descriptor, limit):
+    # boxes and path segments are checked as the lamplighter's rectangles are
+    group = make_group(descriptor)
+    edge = _least_unprintable_n(group, limit)
+    window = range(max(1, edge - 20), edge + 20)
+    with _digit_limit(0):
+        expected = {n: folner_family_upper(group, n) for n in window}
+        printable = {n: len(str(v)) <= limit for n, v in expected.items()}
+    assert printable[edge - 1] and not printable[edge]
+    with _digit_limit(limit):
+        for n in window:
+            if printable[n]:
+                assert folner_family_upper(group, n) == expected[n]
+            else:
+                with pytest.raises(BadParams, match=f"n={n} has more than {limit} decimal"):
+                    folner_family_upper(group, n)
+
+
+@_NEEDS_DIGIT_LIMIT
+def test_family_upper_does_not_build_the_limit():
+    # a small bound is let through from its bit length, whatever the limit:
+    # 10^limit would take 41 MB here
+    group = make_group("lamplighter")
+    tracemalloc.start()
+    try:
+        with _digit_limit(10 ** 8), _time_limit(10):
+            start = time.perf_counter()
+            assert folner_family_upper(group, 2) == 64
+            assert folner_family_upper(make_group("z:2"), 2) == 49
+            assert folner_family_upper(make_group("dinf"), 2) == 4
+            elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1
+    assert peak < 1 << 20, f"traced peak {peak} bytes"
+
+
 @_NEEDS_DIGIT_LIMIT
 def test_family_upper_refused_before_it_is_built():
     # m 2^m with m = 2 10^12 would take 250 GB
