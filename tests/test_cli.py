@@ -374,13 +374,16 @@ def test_folner_family_bound_past_the_digit_limit(capsys, fmt, family_only):
                    "limit for printing an integer (PYTHONINTMAXSTRDIGITS sets it)\n")
 
 
+@pytest.mark.parametrize("group, n", [("lamplighter", "1000000000000"), ("z:2000", "5")])
 @pytest.mark.parametrize("family_only", [True, False])
-def test_folner_family_bound_refused_before_it_is_built(capsys, family_only):
-    # m 2^m with m = 2 10^12 would take 250 GB, so the refusal must come from
-    # its bit length; the limit is pinned, as 0 would build it
+def test_folner_family_bound_refused_at_a_pinned_limit(capsys, family_only, group, n):
+    # the lamplighter's m 2^m with m = 2 10^12 would take 250 GB, so the
+    # refusal must come from its bit length; the z:2000 box for n = 5 has side
+    # near 17,927, so about 8,500 digits, and without --family-only its scan
+    # would run first.  The limit is pinned, as 0 would build the value
     if not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("this interpreter prints integers of any length")
-    argv = ["folner", "--group", "lamplighter", "--n", "1000000000000"]
+    argv = ["folner", "--group", group, "--n", n]
     previous = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
@@ -389,24 +392,7 @@ def test_folner_family_bound_refused_before_it_is_built(capsys, family_only):
         sys.set_int_max_str_digits(previous)
     assert (code, out) == (1, "")
     assert err.startswith("cayleyiso folner: error: the family upper bound for "
-                          "n=1000000000000 has more than 4300 decimal digits")
-
-
-@pytest.mark.parametrize("family_only", [True, False])
-def test_folner_box_bound_past_the_digit_limit(capsys, family_only):
-    # the z:2000 box for n = 5 has side near 17,927, so about 8,500 digits
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("this interpreter prints integers of any length")
-    argv = ["folner", "--group", "z:2000", "--n", "5"]
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    try:
-        code, out, err = run(capsys, argv + ["--family-only"] * family_only)
-    finally:
-        sys.set_int_max_str_digits(previous)
-    assert (code, out) == (1, "")
-    assert err.startswith("cayleyiso folner: error: the family upper bound for "
-                          "n=5 has more than 4300 decimal digits")
+                          f"n={n} has more than 4300 decimal digits")
 
 
 def test_folner_infinite_json(capsys):
