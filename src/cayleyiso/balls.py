@@ -142,6 +142,7 @@ def enumerate_ball(group: Group, radius: int, max_elements: int | None = None) -
     Raises :class:`MemoryBudgetExceeded` (carrying the last completed radius)
     if the ball outgrows ``max_elements``.  The search is :func:`_spheres`.
     """
+    _check_generators(group)
     budget = _search_budget(group, radius, max_elements)
     for state in islice(_spheres(group, budget), radius + 1):
         pass
@@ -160,10 +161,10 @@ def _spheres(group: Group, budget: int):
     search forms is formed in the same order as without the skip, so the
     discovery order, the norms and the counts are those of the full search.
 
-    The generating set must be symmetric (the skip needs each inverse, and
-    the degree bounds :func:`_checked_sphere_counts` asserts hold only
-    then), or the search raises :class:`InvalidParams`; repeated generators
-    and the identity are accepted.
+    Its callers, like every search, first refuse a generating set that
+    repeats, includes the identity or is not symmetric (the skip needs each
+    inverse, and the degree bounds of :func:`_checked_sphere_counts` hold
+    only then) with :class:`InvalidParams`, before the element budget.
 
     The budget is checked once per expanded element, so the search raises
     :class:`MemoryBudgetExceeded` at the first sphere whose ball holds more
@@ -171,7 +172,6 @@ def _spheres(group: Group, budget: int):
     elements (deg generators): up to deg - 1 more than the budget + 1 at
     which a check per new element would stop.
     """
-    _check_generators(group, reject=("not-symmetric",))
     e = group.identity
     elements = [e]
     norm_of = {e: 0}
@@ -265,17 +265,22 @@ def _degree_bound_violation(which: str, s: list, b: list, k: int):
     return None
 
 
-def phi(table: BallTable, v):
-    """Least radius whose ball volume strictly exceeds ``v``.
-
-    ``v`` must be a non-negative integer or Fraction.  Returns INFINITE only
-    when the table shows the group exhausted (the infimum of the empty set);
-    raises HorizonExceeded when the horizon is simply too small.
-    """
+def _check_volume(v) -> None:
+    """The volume :func:`phi` and :func:`table_for_volume` take: exact, >= 0."""
     if isinstance(v, float):
         raise BadParams("phi takes exact volumes (int or Fraction), not float")
     if v < 0:
         raise BadParams(f"volume must be >= 0, got {v}")
+
+
+def phi(table: BallTable, v):
+    """Least radius whose ball volume strictly exceeds ``v``.
+
+    ``v`` must pass :func:`_check_volume`.  Returns INFINITE only when the
+    table shows the group exhausted (the infimum of the empty set); raises
+    HorizonExceeded when the horizon is simply too small.
+    """
+    _check_volume(v)
     # b_r is an integer, so b_r > v exactly when b_r > floor(v)
     r = bisect_right(table.b, math.floor(v))
     if r <= table.max_radius:
@@ -349,6 +354,8 @@ def table_for_volume(group: Group, volume, max_elements: int | None = None,
     and returns the table of the first with b_R > volume, so callers can
     evaluate the growth inverse without guessing a horizon.
     """
+    _check_volume(volume)
+    _check_generators(group)
     radius = max(1, start_radius)
     budget = _search_budget(group, radius, max_elements)
     for state in _spheres(group, budget):

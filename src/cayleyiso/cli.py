@@ -47,6 +47,7 @@ from .groups import ZPowerD, make_group
 from .isoperimetry import (
     FORMS,
     FiniteSubset,
+    boundary,
     boundary_ratio,
     check_inequality,
     inequality_volume,
@@ -243,8 +244,7 @@ def _cmd_boundary(args) -> tuple:
     group = make_group(args.group)
     omega = _parse_omega(group, args)
     ratio = boundary_ratio(omega)
-    keys = [group.format_element(x) for x in
-            sorted(omega.boundary_set(), key=group.key)]
+    keys = boundary(group, omega).keys()
     payload = {
         "group": group.descriptor,
         "omega_size": len(omega),
@@ -276,8 +276,9 @@ def _cmd_transport(args) -> tuple:
     if args.alpha is None:
         table = enumerate_ball(group, args.r, max_elements=budget)
     else:
-        # the alpha lemmas evaluate the growth inverse at (1+alpha)|W|
-        table = table_for_volume(group, (1 + args.alpha) * len(omega),
+        # the alpha lemmas evaluate the growth inverse at (1+alpha)|W| and
+        # refuse alpha < 0 themselves; the others ignore alpha
+        table = table_for_volume(group, max(0, (1 + args.alpha) * len(omega)),
                                  max_elements=budget, start_radius=args.r)
     ledger = build_ledger(omega, table, args.r, max_elements=budget)
     if args.lemma == "all":
@@ -325,18 +326,16 @@ def _cmd_convert(args) -> tuple:
     if args.direction == "csc-to-folner":
         if args.rho is None:
             raise CayleyIsoError("csc-to-folner needs --rho > 0")
-        result = csc_to_folner(CscBound(args.c, args.alpha), args.rho)
-        payload = {"direction": args.direction,
-                   "input": {"c": str(args.c), "alpha": str(args.alpha)},
-                   "output": result.params_dict()}
+        given = CscBound(args.c, args.alpha)
+        result = csc_to_folner(given, args.rho)
+        inputs = given.params_dict()
     else:
         if args.rho is None or args.s_size is None:
             raise CayleyIsoError("folner-to-csc needs --rho and --s-size")
-        result = folner_to_csc(FolnerBound(args.c, args.alpha, args.rho), args.s_size)
-        payload = {"direction": args.direction,
-                   "input": {"c": str(args.c), "alpha": str(args.alpha),
-                             "rho": str(args.rho), "s_size": args.s_size},
-                   "output": result.params_dict()}
+        given = FolnerBound(args.c, args.alpha, args.rho)
+        result = folner_to_csc(given, args.s_size)
+        inputs = {**given.params_dict(), "s_size": args.s_size}
+    payload = {"direction": args.direction, "input": inputs, "output": result.params_dict()}
     return payload, None, []
 
 

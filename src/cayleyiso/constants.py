@@ -27,7 +27,8 @@ from .balls import INFINITE, BallTable, _search_budget, growth_rate_upper, phi, 
 from .errors import BadParams, EmptyGeneratingSet, InsufficientData, NotApplicable
 from .folner import LowerBound, _Value, adjacency_index, min_ratio_table
 from .groups import Group
-from .isoperimetry import FiniteSubset, _as_fraction, _check_same_group, _exact_alpha
+from .isoperimetry import (FiniteSubset, _as_fraction, _check_positive_int, _check_same_group,
+                           _exact_alpha)
 
 __all__ = [
     "CscBound",
@@ -125,6 +126,7 @@ class ConnectedScope(_Value):
     __slots__ = ("max_size",)
 
     def __init__(self, max_size: int):
+        _check_positive_int(max_size, "max_size")
         object.__setattr__(self, "max_size", max_size)
 
     def describe(self):
@@ -293,17 +295,6 @@ class FolnerFormCheck:
         self.rows = rows
         self.holds = holds
         self.indeterminate = indeterminate
-
-    def to_json_dict(self):
-        return {
-            "params": self.bound.params_dict(),
-            "holds": self.holds,
-            "indeterminate": self.indeterminate,
-            "rows": [
-                {"n": n, "value": v, "rhs": str(r), "status": s}
-                for (n, v, r, s) in self.rows
-            ],
-        }
 
 
 def check_folner_form(bound: FolnerBound, table: BallTable, records) -> FolnerFormCheck:

@@ -11,7 +11,7 @@ property-tested rather than assumed (see the test suite).
 
 The graph: ``adjacency_index`` builds B(max_size) and the neighbor index
 rows of its inner vertices in one breadth-first search, in the discovery
-order of ``enumerate_ball``.  It rejects generating sets that repeat, include
+order of ``enumerate_ball``.  It refuses generating sets that repeat, include
 the identity or are not symmetric, so every row lists deg distinct vertices
 other than its own (x*g == x*h only for g == h, and x*g == x only for
 g == e), and y is in the row of x exactly when x is in the row of y.  The

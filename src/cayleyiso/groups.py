@@ -506,10 +506,10 @@ _PROBLEM_WORDS = {"duplicate": "repeat", "contains-identity": "include the ident
                   "not-symmetric": "are not symmetric"}
 
 
-def _check_generators(group: Group, reject=tuple(_PROBLEM_WORDS)) -> None:
+def _check_generators(group: Group) -> None:
     """Raise :class:`InvalidParams` when :func:`validate_generators` finds a
-    problem of a kind in ``reject``, naming each such kind."""
+    problem, naming each kind found."""
     found = {kind for kind, _ in validate_generators(group).problems}
-    words = [_PROBLEM_WORDS[kind] for kind in reject if kind in found]
+    words = [word for kind, word in _PROBLEM_WORDS.items() if kind in found]
     if words:
         raise InvalidParams(f"generators of {group.descriptor} {' and '.join(words)}")

@@ -252,13 +252,11 @@ def check_inequality(omega: FiniteSubset, table: BallTable, form: str,
     """Evaluate one inequality form on a concrete subset, exactly."""
     _check_same_group(omega.group, table.group, "ball table")
     lhs = boundary_ratio(omega)
-    # converted once; the checks below pass the Fraction through unchanged
-    params = {}
-    if form in ("avg-growth", "growth-cor"):
-        alpha = params["alpha"] = _as_fraction(alpha, "alpha")
-    elif form == "epsilon":
-        eps = params["eps"] = _as_fraction(eps, "eps")
     rhs, r = inequality_rhs(table, form, len(omega), alpha=alpha, eps=eps)
+    # inequality_rhs has checked the form and its one parameter
+    takes = _FORM_PARAM.get(form)
+    value = alpha if takes == "alpha" else eps
+    params = {} if takes is None else {takes: _as_fraction(value, takes)}
     strict = form in STRICT_FORMS
     if r is INFINITE:
         holds = True

@@ -83,8 +83,10 @@ KERNEL_GROUPS = {
     "one-way-cycle": _OneWayCycle,
 }
 
-#: the KERNEL_GROUPS a ball search accepts: those with a symmetric generating set
-SEARCHED_GROUPS = [name for name in KERNEL_GROUPS if name != "one-way-cycle"]
+#: the KERNEL_GROUPS every search (ball, scan) accepts: those whose generating
+#: set is symmetric, free of repeats and free of the identity
+SEARCHED_GROUPS = [name for name in KERNEL_GROUPS
+                   if name not in ("doubled-line", "looped-line", "one-way-cycle")]
 
 
 @pytest.fixture(scope="session")

@@ -212,11 +212,19 @@ def test_phi_horizon_vs_infinite():
 
 
 def test_phi_rejects_bad_volumes():
-    t = enumerate_ball(make_group("z:1"), 3)
-    with pytest.raises(BadParams):
-        phi(t, 1.5)
-    with pytest.raises(BadParams):
-        phi(t, -1)
+    # table_for_volume applies phi's check, with its texts, before it searches
+    z, z2 = make_group("z:1"), make_group("z:2")
+    t = enumerate_ball(z, 3)
+    for volume, message in ((1.5, r"^phi takes exact volumes \(int or Fraction\), not float$"),
+                            (5.5, r"^phi takes exact volumes \(int or Fraction\), not float$"),
+                            (-1, "^volume must be >= 0, got -1$"),
+                            (Fraction(-1, 2), "^volume must be >= 0, got -1/2$")):
+        with pytest.raises(BadParams, match=message):
+            phi(t, volume)
+        with pytest.raises(BadParams, match=message):
+            table_for_volume(z2, volume)
+        with pytest.raises(BadParams, match=message):
+            table_for_volume(z2, volume, max_elements=1)
 
 
 @pytest.mark.parametrize("desc", BUILTIN_DESCRIPTORS)

@@ -449,6 +449,26 @@ def test_certify_bad_scope(capsys):
     assert code == 1
 
 
+def test_size_and_volume_errors_keep_their_text(capsys):
+    # ConnectedScope and table_for_volume refuse these before any search
+    for argv, line in (
+            (["certify", "--group", "z:1", "--c", "1", "--alpha", "1", "--scope",
+              "connected:0"],
+             "cayleyiso certify: error: max_size must be a positive integer, got 0\n"),
+            (["phi", "--group", "z:1", "--volume", "-1"],
+             "cayleyiso phi: error: volume must be >= 0, got -1\n")):
+        assert run(capsys, argv) == (1, "", line)
+
+
+def test_transport_alpha_below_minus_one_is_refused_by_the_lemmas(capsys):
+    # (1 + alpha)|W| < 0 asks for the table of volume 0: the lemmas that
+    # take alpha refuse it, and the others ignore it
+    argv = ["transport", "--group", "z:1", "--omega", "0..2", "--r", "3", "--alpha=-3"]
+    code, _, err = run(capsys, argv + ["--lemma", "spheres"])
+    assert (code, err) == (0, "")
+    assert run(capsys, argv) == (1, "", "cayleyiso transport: error: alpha must be >= 0, got -3\n")
+
+
 # ----------------------------------------------------------------- quotient
 
 def test_quotient_not_applicable(capsys):

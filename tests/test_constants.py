@@ -152,6 +152,13 @@ def test_certify_vacuous_on_finite_group():
     assert cert.holds  # growth inverse is the infinite sentinel, rhs = 0
 
 
+def test_connected_scope_checks_its_size_when_built():
+    # the text min_ratio_table gives a bad size, before any certificate
+    for size in ("3", None, 0, -1, 1.5):
+        with pytest.raises(BadParams, match=f"^max_size must be a positive integer, got {size!r}$"):
+            ConnectedScope(size)
+
+
 def test_certify_scope_guard():
     with pytest.raises(BadParams):
         certify_at_scale(make_group("lamplighter"), CscBound(Fraction(1), Fraction(1)),

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from cayleyiso import folner
-from cayleyiso.balls import INFINITE, enumerate_ball
+from cayleyiso.balls import INFINITE, enumerate_ball, table_for_volume
 from cayleyiso.constants import BallSubsetsScope, CscBound, certify_at_scale
 from cayleyiso.errors import BadParams, InvalidParams, MemoryBudgetExceeded, NoFamilyForKind
 from cayleyiso.folner import (
@@ -186,7 +186,7 @@ def test_min_ratio_witness_attains_minimum(monkeypatch):
     # above size 3 are 0, so those sizes never settle and every leaf is
     # examined
     sizes = {"z:1": 9, "dinf": 9, "free:2": 5, "lamplighter": 6, "z:3": 6, "free:3": 6}
-    for name in SCANNED_GROUPS:
+    for name in SEARCHED_GROUPS:
         group = KERNEL_GROUPS[name]()
         size = sizes.get(name, 7)
         table = min_ratio_table(group, size)
@@ -312,9 +312,6 @@ def _row_boundary(adj, members):
 
 # ------------------------------------------ size floors and settled subtrees
 
-# the kernel groups whose generating sets the scan accepts
-SCANNED_GROUPS = [name for name in SEARCHED_GROUPS
-                  if name not in ("doubled-line", "looped-line")]
 # the largest size at which a group's sets are enumerated one at a time; at
 # size 7 these have 0.2-0.9 million sets, and the lamplighter (degree 8) no
 # interior member
@@ -338,7 +335,7 @@ def _tally(name):
     return count, least
 
 
-@pytest.mark.parametrize("name", SCANNED_GROUPS)
+@pytest.mark.parametrize("name", SEARCHED_GROUPS)
 def test_size_floors_below_least_boundaries(name):
     # a floor above some set's boundary would let the scan skip a minimizer
     group = KERNEL_GROUPS[name]()
@@ -394,7 +391,7 @@ def test_size_floor_search_is_bounded(desc):
     assert min_boundary == [None, 1] + [2] * 39
 
 
-@pytest.mark.parametrize("name", SCANNED_GROUPS)
+@pytest.mark.parametrize("name", SEARCHED_GROUPS)
 def test_counts_only_path_counts_every_set(name, monkeypatch):
     # floors above any boundary settle every size from the root on, so the
     # whole tree is counted by the counts-only recursion and the shared pair
@@ -453,11 +450,16 @@ def test_adjacency_index_rejects_repeated_or_identity_generators(group_type):
     group = group_type()
     problem = {_DoubledLine: "repeat", _LoopedLine: "include the identity",
                _OneWayCycle: "are not symmetric"}[group_type]
+    message = f"^generators of {group.descriptor} {problem}$"
     for size, budget in ((4, None), (0, None), (4, 0), (4, 2)):
         # at every size, and before the element budget can run out
-        with pytest.raises(InvalidParams,
-                           match=f"^generators of {group.descriptor} {problem}$"):
+        with pytest.raises(InvalidParams, match=message):
             adjacency_index(group, size, max_elements=budget)
+    # the ball searches apply the same rule, with the same text
+    for search in (enumerate_ball, table_for_volume):
+        for size, budget in ((0, None), (4, 0)):
+            with pytest.raises(InvalidParams, match=message):
+                search(group, size, max_elements=budget)
     # the group of the same descriptor with a valid generating set; its
     # memoized scan must not answer
     min_ratio_table(CyclicStub(7) if group_type is _OneWayCycle else make_group("z:1"), 4)

@@ -163,6 +163,9 @@ def test_param_validation():
     ("avg-growth", {"alpha": 1, "eps": Fraction(1, 2)}, "eps"),
     ("growth-cor", {"alpha": 1, "eps": Fraction(1, 2)}, "eps"),
     ("epsilon", {"eps": Fraction(1, 2), "alpha": 7}, "alpha"),
+    # with its own parameter wrong as well, the foreign one is reported first
+    ("avg-growth", {"alpha": 0.5, "eps": Fraction(1, 2)}, "eps"),
+    ("epsilon", {"eps": 2, "alpha": 1}, "alpha"),
 ])
 def test_foreign_parameter_refused(form, params, foreign):
     # a parameter the form does not take is an error, not silently ignored
@@ -173,6 +176,20 @@ def test_foreign_parameter_refused(form, params, foreign):
         inequality_volume(form, 4, **params)
     with pytest.raises(BadParams, match=message):
         check_inequality(omega, enumerate_ball(z, 12), form, **params)
+
+
+def test_report_params_are_the_forms_own_as_fractions():
+    z = make_group("z:1")
+    omega = z_interval(z, 0, 3)
+    t = enumerate_ball(z, 12)
+    for form, given, expected in (("avg-growth", {"alpha": 1}, {"alpha": Fraction(1)}),
+                                  ("growth-cor", {"alpha": Fraction(1, 2)},
+                                   {"alpha": Fraction(1, 2)}),
+                                  ("epsilon", {"eps": Fraction(1, 3)}, {"eps": Fraction(1, 3)}),
+                                  ("csc-original", {}, {}), ("pete-correia", {}, {})):
+        params = check_inequality(omega, t, form, **given).params
+        assert params == expected
+        assert all(type(value) is Fraction for value in params.values())
 
 
 def test_rhs_ordering_properties():
