@@ -47,6 +47,7 @@ from .groups import ZPowerD, make_group
 from .isoperimetry import (
     FORMS,
     FiniteSubset,
+    _exact_alpha,
     boundary,
     boundary_ratio,
     check_inequality,
@@ -273,17 +274,17 @@ def _cmd_transport(args) -> tuple:
     group = make_group(args.group)
     omega = _parse_omega(group, args)
     budget = _budget(args)
-    if args.alpha is None:
+    alpha = None if args.alpha is None else _exact_alpha(args.alpha)
+    if alpha is None:
         table = enumerate_ball(group, args.r, max_elements=budget)
     else:
-        # the alpha lemmas evaluate the growth inverse at (1+alpha)|W| and
-        # refuse alpha < 0 themselves; the others ignore alpha
-        table = table_for_volume(group, max(0, (1 + args.alpha) * len(omega)),
+        # the alpha lemmas evaluate the growth inverse at (1+alpha)|W|
+        table = table_for_volume(group, (1 + alpha) * len(omega),
                                  max_elements=budget, start_radius=args.r)
     ledger = build_ledger(omega, table, args.r, max_elements=budget)
     if args.lemma == "all":
         lemmas = ["transport", "counting", "fiber", "spheres", "balls"]
-        if args.alpha is not None:
+        if alpha is not None:
             lemmas += ["ray-lower", "conclude"]
     else:
         lemmas = [args.lemma]
@@ -291,7 +292,7 @@ def _cmd_transport(args) -> tuple:
     falsified = []
     for name in lemmas:
         try:
-            report = verify_lemma(name, table=table, ledger=ledger, alpha=args.alpha)
+            report = verify_lemma(name, table=table, ledger=ledger, alpha=alpha)
         except PreconditionUnmet as exc:
             # reported, never silently dropped; an unmet hypothesis is not a
             # falsification
@@ -326,6 +327,8 @@ def _cmd_convert(args) -> tuple:
     if args.direction == "csc-to-folner":
         if args.rho is None:
             raise CayleyIsoError("csc-to-folner needs --rho > 0")
+        if args.s_size is not None:
+            raise CayleyIsoError("csc-to-folner takes no --s-size")
         given = CscBound(args.c, args.alpha)
         result = csc_to_folner(given, args.rho)
         inputs = given.params_dict()

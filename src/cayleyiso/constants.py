@@ -27,8 +27,8 @@ from .balls import INFINITE, BallTable, _search_budget, growth_rate_upper, phi, 
 from .errors import BadParams, EmptyGeneratingSet, InsufficientData, NotApplicable
 from .folner import LowerBound, _Value, adjacency_index, min_ratio_table
 from .groups import Group
-from .isoperimetry import (FiniteSubset, _as_fraction, _check_positive_int, _check_same_group,
-                           _exact_alpha)
+from .isoperimetry import (FiniteSubset, _as_fraction, _check_bits, _check_positive_int,
+                           _check_same_group, _exact_alpha)
 
 __all__ = [
     "CscBound",
@@ -93,7 +93,11 @@ def folner_to_csc(bound: FolnerBound, generating_set_size: int) -> CscBound:
     """Inner-to-outer direction: volume inflation |S|^ceil(rho+c) (1+alpha).
 
     The returned shape keeps c and absorbs the inflation into the effective
-    alpha, so its Phi argument is |S|^ceil(rho+c) (1+alpha) |W|.
+    alpha, so its Phi argument is |S|^ceil(rho+c) (1+alpha) |W|.  Raises
+    :class:`BadParams` when the factor |S|^ceil(rho+c), or the numerator or
+    the denominator of the effective alpha, has more than 14,284 bits (the
+    cap of :func:`~cayleyiso.folner.folner_family_upper`); a factor of at
+    least 2^14284 is refused from its exponent, before it is built.
     """
     if bound.c <= 0:
         raise BadParams(f"conversion requires c > 0, got {bound.c}")
@@ -104,8 +108,16 @@ def folner_to_csc(bound: FolnerBound, generating_set_size: int) -> CscBound:
             f"conversion needs a non-empty generating set, got size {generating_set_size!r}"
         )
     exponent = math.ceil(bound.rho + bound.c)
-    inflation = Fraction(generating_set_size) ** exponent * (1 + bound.alpha)
-    return CscBound(bound.c, inflation - 1)
+    what = "the volume inflation |S|^ceil(rho+c)"
+    # the factor is at least 2^(exponent (bits of |S| - 1)); below the cap
+    # that leaves it at most twice the cap's bits, cheap to build and measure
+    _check_bits(exponent * (generating_set_size.bit_length() - 1) + 1, what)
+    factor = generating_set_size ** exponent
+    _check_bits(factor.bit_length(), what)
+    alpha = factor * (1 + bound.alpha) - 1
+    _check_bits(max(alpha.numerator.bit_length(), alpha.denominator.bit_length()),
+                "the numerator or the denominator of the effective alpha")
+    return CscBound(bound.c, alpha)
 
 
 class BallSubsetsScope(_Value):

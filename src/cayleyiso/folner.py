@@ -88,14 +88,13 @@ from __future__ import annotations
 import marshal
 import os
 import signal
-import sys
 import threading
 from fractions import Fraction
 
 from .balls import INFINITE, _budget_exceeded, _checked_sphere_counts, _search_budget
 from .errors import BadParams, NoFamilyForKind
 from .groups import DihedralInfinite, Group, LamplighterZ2, ZPowerD, _check_generators
-from .isoperimetry import FiniteSubset, _check_positive_int
+from .isoperimetry import FiniteSubset, _check_bits, _check_positive_int
 
 __all__ = [
     "LowerBound",
@@ -756,21 +755,28 @@ def folner_family_upper(group: Group, n: int) -> int:
     rectangles in the lamplighter (size m 2^m, ratio 2/m).  The singleton is a
     degenerate member of every family, which settles n = 1.  Always an upper
     bound for the Folner value; never claimed minimal.  Raises
-    :class:`BadParams`, from its bit length, for a bound too long to print.
+    :class:`BadParams` for a bound of more than 14,284 bits, the cap under
+    which every value prints at the interpreter's default limit of 4300
+    digits, whatever the limit is set to; the lamplighter's is refused from
+    its bit count, before it is built, and a box's before its side is sought.
     """
     _check_positive_int(n, "n")
     if not isinstance(group, (ZPowerD, DihedralInfinite, LamplighterZ2)):
         raise NoFamilyForKind(f"no candidate family for {group.descriptor}")
     if n == 1:
         return 1
+    what = "the family upper bound"
     if isinstance(group, LamplighterZ2):
         m = 2 * n
-        bits, build = m + m.bit_length(), lambda: m << m  # built once printable
-    elif isinstance(group, DihedralInfinite):
-        bits, build = (2 * n).bit_length(), lambda: 2 * n
+        _check_bits(m + m.bit_length(), what)
+        return m << m
+    if isinstance(group, DihedralInfinite):
+        bound = 2 * n
     else:
-        # the ratio falls as m grows and is at most 2d/m: bisect m in [2, 2dn + 2]
+        # the ratio falls as m grows and lies in [2/m, 2d/m], so the side is in
+        # [2n, 2dn + 2]: refuse from the bits of (2n)^d, then bisect
         d = group.d
+        _check_bits(d * ((2 * n).bit_length() - 1) + 1, what)
         lo, hi = 2, 2 * d * n + 2
         while lo < hi:
             m = (lo + hi) // 2
@@ -779,12 +785,5 @@ def folner_family_upper(group: Group, n: int) -> int:
             else:
                 lo = m + 1
         bound = lo ** d
-        bits, build = bound.bit_length(), lambda: bound
-    # str() refuses 10^limit and up (0: no limit); as 8^limit < 10^limit < 16^limit,
-    # the bits decide outside (3 limit, 4 limit], where the bound is as long as its text
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and bits > 3 * limit and (bits > 4 * limit or build() >= 10 ** limit):
-        raise BadParams(f"the family upper bound for n={n} has more than {limit} decimal "
-                        "digits, the interpreter's limit for printing an integer "
-                        "(PYTHONINTMAXSTRDIGITS sets it)")
-    return build()
+    _check_bits(bound.bit_length(), what)
+    return bound

@@ -186,6 +186,18 @@ def _check_positive_int(value, name: str) -> None:
         raise BadParams(f"{name} must be a positive integer, got {value!r}")
 
 
+# The longest bit length whose values all print under the interpreter's
+# default limit of 4300 decimal digits: 2^14284 < 10^4300 < 2^14285.
+_BIT_CAP = 14284
+
+
+def _check_bits(bits: int, what: str) -> None:
+    """Raise :class:`BadParams` when ``what``, an exact integer of ``bits``
+    bits, is longer than the cap."""
+    if bits > _BIT_CAP:
+        raise BadParams(f"{what} has more than {_BIT_CAP} bits (4300 or more decimal digits)")
+
+
 def _check_same_group(group: Group, other: Group, what: str) -> None:
     """Raise :class:`MalformedElement` unless ``what``, an input of group
     ``other``, belongs to ``group``: a table or subset of another group would

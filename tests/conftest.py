@@ -1,4 +1,6 @@
 import random
+import sys
+from contextlib import contextmanager
 
 import pytest
 
@@ -105,3 +107,21 @@ def random_element(group, rng: random.Random, max_len: int = 8):
     for _ in range(rng.randint(0, max_len)):
         x = group.mul(x, group.generators[rng.randrange(len(group.generators))])
     return x
+
+
+#: digit limits (off, the least, the default) no answer may depend on
+DIGIT_LIMITS = (0, 640, 4300) if hasattr(sys, "set_int_max_str_digits") else (None,)
+
+
+@contextmanager
+def digit_limit(limit):
+    """Run with the interpreter's digit limit at ``limit`` (None: as it is)."""
+    if limit is None:
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)

@@ -20,10 +20,13 @@ def battery():
 
 
 @pytest.fixture(scope="module")
-def suite(tmp_path_factory):
-    """``cayleyiso suite`` run once: (exit code, report text)."""
+def suite(tmp_path_factory, battery):
+    """``cayleyiso suite`` run once: (exit code, report text), on the
+    ``battery`` fixture's criteria 1..9; criterion 10 runs for real."""
     report = tmp_path_factory.mktemp("suite") / "report.txt"
-    code = main(["suite", "--output", str(report)])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(acceptance, "run_battery", lambda: battery)
+        code = main(["suite", "--output", str(report)])
     return code, report.read_text(encoding="utf-8")
 
 

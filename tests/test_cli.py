@@ -20,6 +20,8 @@ from cayleyiso.groups import make_group
 from cayleyiso.isoperimetry import FORMS
 from cayleyiso.transport import LEMMAS
 
+from conftest import DIGIT_LIMITS, digit_limit
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -358,41 +360,28 @@ def test_folner_family_only(capsys):
     assert out.strip().splitlines()[1] == "2,49"
 
 
+_FAMILY_REFUSED = "the family upper bound has more than 14284 bits (4300 or more decimal digits)"
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("family_only", [True, False])
 def test_folner_family_bound_past_the_digit_limit(capsys, fmt, family_only):
     # the lamplighter bound m 2^m with m = 20000 has 6025 digits; the check
     # comes before the scan, which the default cap of 10 would start
-    if not hasattr(sys, "get_int_max_str_digits"):
-        pytest.skip("this interpreter prints integers of any length")
     argv = ["folner", "--group", "lamplighter", "--n", "10000", "--format", fmt]
     code, out, err = run(capsys, argv + ["--family-only"] * family_only)
-    assert code == 1
-    assert out == ""
-    assert err == ("cayleyiso folner: error: the family upper bound for n=10000 has more "
-                   f"than {sys.get_int_max_str_digits()} decimal digits, the interpreter's "
-                   "limit for printing an integer (PYTHONINTMAXSTRDIGITS sets it)\n")
+    assert (code, out, err) == (1, "", f"cayleyiso folner: error: {_FAMILY_REFUSED}\n")
 
 
 @pytest.mark.parametrize("group, n", [("lamplighter", "1000000000000"), ("z:2000", "5")])
 @pytest.mark.parametrize("family_only", [True, False])
 def test_folner_family_bound_refused_at_a_pinned_limit(capsys, family_only, group, n):
-    # the lamplighter's m 2^m with m = 2 10^12 would take 250 GB, so the
-    # refusal must come from its bit length; the z:2000 box for n = 5 has side
-    # near 17,927, so about 8,500 digits, and without --family-only its scan
-    # would run first.  The limit is pinned, as 0 would build the value
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("this interpreter prints integers of any length")
+    # with the digit limit off: m 2^m (m = 2 10^12) would take 250 GB, and the
+    # z:2000 box for n = 5 (8,500 digits) would be scanned first without --family-only
     argv = ["folner", "--group", group, "--n", n]
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    try:
+    with digit_limit(DIGIT_LIMITS[0]):
         code, out, err = run(capsys, argv + ["--family-only"] * family_only)
-    finally:
-        sys.set_int_max_str_digits(previous)
-    assert (code, out) == (1, "")
-    assert err.startswith("cayleyiso folner: error: the family upper bound for "
-                          f"n={n} has more than 4300 decimal digits")
+    assert (code, out, err) == (1, "", f"cayleyiso folner: error: {_FAMILY_REFUSED}\n")
 
 
 def test_folner_infinite_json(capsys):
@@ -416,6 +405,17 @@ def test_convert_both_directions(capsys):
                                 "--s-size", "2"])
     assert code == 0
     assert json.loads(out)["output"] == {"c": "1", "alpha": "1"}
+
+
+def test_convert_refuses_an_unused_flag_and_an_unprintable_alpha(capsys):
+    # the factor 2^100001 has more than 14284 bits: refused, not a traceback
+    for direction, c, line in (
+            ("csc-to-folner", "1", "csc-to-folner takes no --s-size"),
+            ("folner-to-csc", "100000", "the volume inflation |S|^ceil(rho+c) has more than "
+             "14284 bits (4300 or more decimal digits)")):
+        argv = ["convert", "--direction", direction, "--c", c, "--alpha", "0", "--rho", "1",
+                "--s-size", "2"]
+        assert run(capsys, argv) == (1, "", f"cayleyiso convert: error: {line}\n")
 
 
 def test_convert_missing_params(capsys):
@@ -460,12 +460,11 @@ def test_size_and_volume_errors_keep_their_text(capsys):
         assert run(capsys, argv) == (1, "", line)
 
 
-def test_transport_alpha_below_minus_one_is_refused_by_the_lemmas(capsys):
-    # (1 + alpha)|W| < 0 asks for the table of volume 0: the lemmas that
-    # take alpha refuse it, and the others ignore it
-    argv = ["transport", "--group", "z:1", "--omega", "0..2", "--r", "3", "--alpha=-3"]
-    code, _, err = run(capsys, argv + ["--lemma", "spheres"])
-    assert (code, err) == (0, "")
+@pytest.mark.parametrize("lemma", LEMMAS + ("all",))
+def test_transport_refuses_negative_alpha(capsys, lemma):
+    # before any table is built, whether or not the lemma takes alpha
+    argv = ["transport", "--group", "z:1", "--omega", "0..2", "--r", "3", "--alpha=-3",
+            "--lemma", lemma]
     assert run(capsys, argv) == (1, "", "cayleyiso transport: error: alpha must be >= 0, got -3\n")
 
 

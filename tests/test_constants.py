@@ -27,9 +27,9 @@ from cayleyiso.errors import (
 )
 from cayleyiso.folner import LowerBound, folner_exact
 from cayleyiso.groups import make_group
-from cayleyiso.isoperimetry import FiniteSubset
+from cayleyiso.isoperimetry import _BIT_CAP, FiniteSubset
 
-from conftest import KERNEL_GROUPS, CyclicStub
+from conftest import DIGIT_LIMITS, KERNEL_GROUPS, CyclicStub, digit_limit
 
 
 # -------------------------------------------------------------- conversions
@@ -57,6 +57,26 @@ def test_folner_to_csc_exact_ceiling():
     # rho + c = 2 exactly: the smallest integral upper bound is 2, not 3
     out = folner_to_csc(FolnerBound(Fraction(1), Fraction(0), Fraction(1)), 3)
     assert out.alpha + 1 == 9
+
+
+def test_folner_to_csc_refused_exactly_past_the_cap():
+    # the factor and alpha's numerator and denominator: 14284 bits at most, at any digit limit
+    assert (3 ** 9012).bit_length() == _BIT_CAP < (3 ** 9013).bit_length()
+    top, factor, part = 2 ** _BIT_CAP, "the volume inflation", "the numerator or the denominator"
+    cases = [  # (c, alpha, |S|, the effective alpha or what is refused), in pairs at an edge
+        (_BIT_CAP - 1, 0, 2, top // 2 - 1), (_BIT_CAP, 0, 2, factor),  # refused unbuilt
+        (9012, 0, 3, 3 ** 9012 - 1), (9013, 0, 3, factor),  # built, then measured
+        (_BIT_CAP - 1, 1, 2, top - 1), (_BIT_CAP - 1, 2, 2, part),
+        (1, Fraction(1, top - 1), 1, Fraction(1, top - 1)), (1, Fraction(1, top + 1), 1, part),
+    ]
+    for limit in DIGIT_LIMITS:
+        with digit_limit(limit):
+            for c, alpha, s_size, expected in cases:
+                if isinstance(expected, str):
+                    with pytest.raises(BadParams, match=f"^{expected}"):
+                        folner_to_csc(FolnerBound(c, alpha, 0), s_size)
+                else:
+                    assert folner_to_csc(FolnerBound(c, alpha, 0), s_size) == CscBound(c, expected)
 
 
 def test_value_records_compare_and_hash_by_value():

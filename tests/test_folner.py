@@ -1,9 +1,9 @@
 import functools
 import itertools
+import math
 import os
 import random
 import signal
-import sys
 import threading
 import time
 import tracemalloc
@@ -14,7 +14,8 @@ import pytest
 
 from cayleyiso import folner
 from cayleyiso.balls import INFINITE, enumerate_ball, table_for_volume
-from cayleyiso.constants import BallSubsetsScope, CscBound, certify_at_scale
+from cayleyiso.constants import (BallSubsetsScope, CscBound, FolnerBound, certify_at_scale,
+                                 folner_to_csc)
 from cayleyiso.errors import BadParams, InvalidParams, MemoryBudgetExceeded, NoFamilyForKind
 from cayleyiso.folner import (
     LowerBound,
@@ -28,16 +29,18 @@ from cayleyiso.folner import (
     min_ratio_table,
 )
 from cayleyiso.groups import make_group
-from cayleyiso.isoperimetry import FiniteSubset, boundary_ratio
+from cayleyiso.isoperimetry import _BIT_CAP, FiniteSubset, boundary_ratio
 
 from conftest import (
     BUILTIN_DESCRIPTORS,
+    DIGIT_LIMITS,
     KERNEL_GROUPS,
     SEARCHED_GROUPS,
     CyclicStub,
     _DoubledLine,
     _LoopedLine,
     _OneWayCycle,
+    digit_limit,
 )
 
 
@@ -703,104 +706,58 @@ def test_family_upper_no_family():
         folner_family_upper(make_group("heis"), 1)
 
 
-_NEEDS_DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
-                                        reason="this interpreter prints integers of any length")
+# the longest side of a z:32 box within the cap (floor roots compose)
+_SIDE = math.isqrt(math.isqrt(math.isqrt(math.isqrt(math.isqrt(2 ** _BIT_CAP - 1)))))
+
+# the least n whose family bound is longer than the cap
+_FAMILY_EDGES = {
+    "lamplighter": 7136,  # m 2^m with m = 2n has m + 14 bits, 14284 at n = 7135
+    "dinf": 2 ** (_BIT_CAP - 1),  # 2n has 14284 bits below this n
+    "z:1": 2 ** (_BIT_CAP - 1),  # the same segments, found by bisection
+    # a box of side m serves every n <= m^32 / (m^32 - (m-2)^32), which grows with m
+    "z:32": _SIDE ** 32 // (_SIDE ** 32 - (_SIDE - 2) ** 32) + 1,
+}
 
 
-@contextmanager
-def _digit_limit(limit):
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(limit)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(previous)
-
-
-def _least_unprintable_n(group, limit):
-    # the least n whose family bound has more than ``limit`` digits; the bound
-    # grows with n
-    with _digit_limit(0):
-        hi = 1
-        while len(str(folner_family_upper(group, hi))) <= limit:
-            hi *= 2
-        lo = hi // 2 + 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if len(str(folner_family_upper(group, mid))) > limit:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
-
-@_NEEDS_DIGIT_LIMIT
-@pytest.mark.parametrize("descriptor, limit", [
-    *(("lamplighter", limit) for limit in (640, 641, 665, 1000, 4300, 5000)),
-    *((d, limit) for d in ("dinf", "z:40", "z:100") for limit in (640, 1000))])
-def test_family_upper_refused_exactly_past_the_digit_limit(descriptor, limit):
-    # each family's bound is refused exactly where str() would refuse it; the
-    # edge lies where the bit count alone cannot decide (3 limit to 4 limit
-    # bits), so the built bound is compared there
+@pytest.mark.parametrize("descriptor", list(_FAMILY_EDGES))
+def test_family_upper_refused_exactly_past_the_cap(descriptor):
+    # the same answers under every digit limit, and the last bound let
+    # through prints under the default one
+    assert 2 ** _BIT_CAP < 10 ** 4300 < 2 ** (_BIT_CAP + 1)
     group = make_group(descriptor)
-    edge = _least_unprintable_n(group, limit)
-    window = range(max(1, edge - 20), edge + 20)
-    with _digit_limit(0):
-        expected = {n: folner_family_upper(group, n) for n in window}
-        printable = {n: len(str(v)) <= limit for n, v in expected.items()}
-    assert printable[edge - 1] and not printable[edge]
-    with _digit_limit(limit):
-        for n in window:
-            if printable[n]:
-                assert folner_family_upper(group, n) == expected[n]
-            else:
-                with pytest.raises(BadParams, match=f"n={n} has more than {limit} decimal"):
-                    folner_family_upper(group, n)
+    edge = _FAMILY_EDGES[descriptor]
+    last = set()
+    for limit in DIGIT_LIMITS:
+        with digit_limit(limit):
+            last.add(folner_family_upper(group, edge - 1))
+            with pytest.raises(BadParams, match="^the family upper bound has more than 14284 bits"):
+                folner_family_upper(group, edge)
+    assert len(last) == 1 and last.pop() < 10 ** 4300
 
 
-@_NEEDS_DIGIT_LIMIT
-def test_family_upper_does_not_build_the_limit():
-    # a small bound is let through from its bit length, whatever the limit:
-    # 10^limit would take 41 MB here
-    group = make_group("lamplighter")
-    tracemalloc.start()
-    try:
-        with _digit_limit(10 ** 8), _time_limit(10):
-            start = time.perf_counter()
-            assert folner_family_upper(group, 2) == 64
-            assert folner_family_upper(make_group("z:2"), 2) == 49
-            assert folner_family_upper(make_group("dinf"), 2) == 4
-            elapsed = time.perf_counter() - start
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert elapsed < 1
-    assert peak < 1 << 20, f"traced peak {peak} bytes"
-
-
-@_NEEDS_DIGIT_LIMIT
 def test_family_upper_refused_before_it_is_built():
-    # m 2^m with m = 2 10^12 would take 250 GB
+    # with the digit limit off, m 2^m with m = 2 10^12 would take 250 GB, the factor
+    # 3^(10^12) of folner_to_csc 198 GB, and the z:40 side search minutes
     tracemalloc.start()
     try:
-        with _digit_limit(4300), _time_limit(10):
+        with digit_limit(DIGIT_LIMITS[0]), _time_limit(10):
             start = time.perf_counter()
-            with pytest.raises(BadParams, match="decimal digits"):
-                folner_family_upper(make_group("lamplighter"), 10 ** 12)
+            for call in (lambda: folner_family_upper(make_group("lamplighter"), 10 ** 12),
+                         lambda: folner_family_upper(make_group("z:40"), 10 ** 4299),
+                         lambda: folner_to_csc(FolnerBound(10 ** 12, 0, 0), 3)):
+                with pytest.raises(BadParams, match="decimal digits"):
+                    call()
             elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert elapsed < 1
-    assert peak < 1 << 20, f"traced peak {peak} bytes"
+    assert elapsed < 1 and peak < 1 << 20, f"{elapsed} s, traced peak {peak} bytes"
 
 
-@_NEEDS_DIGIT_LIMIT
 def test_folner_exact_refuses_an_unprintable_family_bound():
     # before the scan: a record whose bound could not be printed or encoded
-    with _digit_limit(4300), _time_limit(10):
-        with pytest.raises(BadParams, match="n=10000 has more than 4300 decimal digits"):
-            folner_exact(make_group("lamplighter"), 10000, 9)
+    with _time_limit(10), pytest.raises(BadParams, match="bound has more than 14284 bits"):
+        folner_exact(make_group("lamplighter"), 10000, 9)
 
 
 def test_family_upper_dominates_exact_values():
