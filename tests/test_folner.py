@@ -735,6 +735,57 @@ def test_family_upper_refused_exactly_past_the_cap(descriptor):
     assert len(last) == 1 and last.pop() < 10 ** 4300
 
 
+def _uncapped_family_upper(descriptor, n):
+    # the lamplighter's m 2^m with m = 2n built past the cap; the other
+    # families' bounds near the limits below fit it
+    if descriptor == "lamplighter":
+        return 2 * n << 2 * n
+    return folner_family_upper(make_group(descriptor), n)
+
+
+def _least_n_with_digits_over(descriptor, limit):
+    # the bound grows with n: double, then bisect on bound >= 10^limit
+    def past(n):
+        return _uncapped_family_upper(descriptor, n) >= 10 ** limit
+    hi = 1
+    while not past(hi):
+        hi *= 2
+    lo = hi // 2 + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if past(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+@pytest.mark.parametrize("descriptor, limit", [
+    *(("lamplighter", limit) for limit in (640, 641, 665, 1000, 4300, 5000)),
+    *((d, limit) for d in ("dinf", "z:40", "z:100") for limit in (640, 1000))])
+def test_family_upper_refused_exactly_past_the_digit_limit(descriptor, limit):
+    # the interpreter's limit moves no edge: around the least n whose bound
+    # has more than ``limit`` digits, a bound is returned whole when it fits
+    # the cap and refused when it does not, under that limit as with it off;
+    # the cap's edge is the default limit's (lamplighter, 4300)
+    group = make_group(descriptor)
+    edge = _least_n_with_digits_over(descriptor, limit)
+    window = range(max(1, edge - 20), edge + 20)
+    expected = {n: _uncapped_family_upper(descriptor, n) for n in window}
+    assert expected[edge - 1] < 10 ** limit <= expected[edge]
+    if limit == 4300:
+        assert expected[edge - 1].bit_length() <= _BIT_CAP < expected[edge].bit_length()
+    for set_to in ((limit, 0) if DIGIT_LIMITS != (None,) else (None,)):
+        with digit_limit(set_to):
+            for n in window:
+                if expected[n].bit_length() <= _BIT_CAP:
+                    assert folner_family_upper(group, n) == expected[n]
+                else:
+                    with pytest.raises(BadParams, match="^the family upper bound has more "
+                                                        "than 14284 bits"):
+                        folner_family_upper(group, n)
+
+
 def test_family_upper_refused_before_it_is_built():
     # with the digit limit off, m 2^m with m = 2 10^12 would take 250 GB, the factor
     # 3^(10^12) of folner_to_csc 198 GB, and the z:40 side search minutes
