@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import accumulate, count, islice
 
 from .errors import BadParams, HorizonExceeded, MemoryBudgetExceeded, RadiusOutOfRange
-from .groups import Group, _check_generators
+from .groups import Group, _check_generators, _check_int, _require_int
 
 __all__ = [
     "INFINITE",
@@ -107,7 +107,7 @@ class BallTable:
         raise HorizonExceeded(f"radius {x} beyond table horizon {self.max_radius}")
 
     def _check_radius(self, r):
-        if not isinstance(r, int) or r < 0 or r > self.max_radius:
+        if _require_int(r, "radius", 0, RadiusOutOfRange) > self.max_radius:
             raise RadiusOutOfRange(f"radius {r!r} not in [0, {self.max_radius}]")
 
     def csv_rows(self):
@@ -143,7 +143,8 @@ def enumerate_ball(group: Group, radius: int, max_elements: int | None = None) -
     if the ball outgrows ``max_elements``.  The search is :func:`_spheres`.
     """
     _check_generators(group)
-    budget = _search_budget(group, radius, max_elements)
+    _require_int(radius, "radius", 0, RadiusOutOfRange)
+    budget = _search_budget(group, max_elements)
     for state in islice(_spheres(group, budget), radius + 1):
         pass
     return _table(group, radius, *state)
@@ -222,15 +223,13 @@ def _table(group: Group, radius: int, elements: list, norm_of: dict, b: list) ->
     return BallTable(group, radius, elements, norm_of, b, s, length_sum, exhausted)
 
 
-def _search_budget(group: Group, radius, max_elements) -> int:
-    """Preamble of every ball search: check the radius, resolve the element
-    budget (None for the default) and fail at radius 0 below 1 element."""
-    if not isinstance(radius, int) or radius < 0:
-        raise RadiusOutOfRange(f"radius must be a non-negative integer, got {radius!r}")
+def _search_budget(group: Group, max_elements) -> int:
+    """The element budget of every search (None for the default): BadParams
+    unless an int, and an int below 1 fails at radius 0."""
     budget = DEFAULT_MAX_ELEMENTS if max_elements is None else max_elements
-    if budget < 1:
+    if _check_int(budget) and budget < 1:
         raise _budget_exceeded(group, budget, 0)
-    return budget
+    return _require_int(budget, "max_elements", 1, BadParams)
 
 
 def _budget_exceeded(group: Group, budget: int, r: int) -> MemoryBudgetExceeded:
@@ -267,8 +266,8 @@ def _degree_bound_violation(which: str, s: list, b: list, k: int):
 
 def _check_volume(v) -> None:
     """The volume :func:`phi` and :func:`table_for_volume` take: exact, >= 0."""
-    if isinstance(v, float):
-        raise BadParams("phi takes exact volumes (int or Fraction), not float")
+    if not (isinstance(v, Fraction) or _check_int(v)):
+        raise BadParams(f"phi takes exact volumes (int or Fraction), not {type(v).__name__}")
     if v < 0:
         raise BadParams(f"volume must be >= 0, got {v}")
 
@@ -330,7 +329,7 @@ _EVIDENCE_MIN_HORIZON = 6
 
 def growth_rate_upper(table: BallTable, horizon: int) -> GrowthEstimate:
     """Per-n values ln(b_n)/n and their running minimum at the horizon."""
-    if not isinstance(horizon, int) or horizon < 1 or horizon > table.max_radius:
+    if _require_int(horizon, "horizon", 1, RadiusOutOfRange) > table.max_radius:
         raise RadiusOutOfRange(f"horizon {horizon!r} not in [1, {table.max_radius}]")
     b = table.b
     per_n = tuple(math.log(b[n]) / n for n in range(1, horizon + 1))
@@ -356,8 +355,8 @@ def table_for_volume(group: Group, volume, max_elements: int | None = None,
     """
     _check_volume(volume)
     _check_generators(group)
-    radius = max(1, start_radius)
-    budget = _search_budget(group, radius, max_elements)
+    radius = _require_int(start_radius, "start_radius", 1, RadiusOutOfRange)
+    budget = _search_budget(group, max_elements)
     for state in _spheres(group, budget):
         b = state[2]
         if len(b) - 1 == radius:

@@ -138,7 +138,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("folner", help="exact Folner value by exhaustive connected search")
     common(p)
     p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--cap", type=_positive_int, default=10,
+    p.add_argument("--cap", type=_positive_int, default=None,
                    help="search size cap; cost grows exponentially with it")
     p.add_argument("--family-only", action="store_true",
                    help="report only the closed-family upper bound")
@@ -280,7 +280,7 @@ def _cmd_transport(args) -> tuple:
     else:
         # the alpha lemmas evaluate the growth inverse at (1+alpha)|W|
         table = table_for_volume(group, (1 + alpha) * len(omega),
-                                 max_elements=budget, start_radius=args.r)
+                                 max_elements=budget, start_radius=max(1, args.r))
     ledger = build_ledger(omega, table, args.r, max_elements=budget)
     if args.lemma == "all":
         lemmas = ["transport", "counting", "fiber", "spheres", "balls"]
@@ -312,10 +312,14 @@ def _cmd_transport(args) -> tuple:
 def _cmd_folner(args) -> tuple:
     group = make_group(args.group)
     if args.family_only:
+        for flag, value in (("--cap", args.cap), ("--memory-budget", args.memory_budget)):
+            if value is not None:
+                raise CayleyIsoError(f"--family-only takes no {flag}")
         family = folner_family_upper(group, args.n)
         payload = {"group": group.descriptor, "n": args.n, "family_upper": family}
         return payload, f"n,family_upper\n{args.n},{family}", []
-    record = folner_exact(group, args.n, args.cap, max_elements=_budget(args))
+    cap = 10 if args.cap is None else args.cap
+    record = folner_exact(group, args.n, cap, max_elements=_budget(args))
     payload = record.to_json_dict()
     payload["group"] = group.descriptor
     csv = ("n,value_or_bound,kind,witness_size,family_upper\n"
@@ -416,7 +420,10 @@ def main(argv=None) -> int:
             text = csv if getattr(args, "format", None) == "csv" else json.dumps(payload, indent=2)
             passed = not falsified
         _write(args.output, text)
-    except (CayleyIsoError, OSError) as exc:
+    except (CayleyIsoError, OSError, ValueError) as exc:
+        # the one ValueError not a bug: a number too long for the digit limit
+        if isinstance(exc, ValueError) and "integer string conversion" not in str(exc):
+            raise
         sys.stderr.write(f"cayleyiso {args.command}: error: {exc}\n")
         return 1
     sys.stderr.writelines(line + "\n" for line in falsified)

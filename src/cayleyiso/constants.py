@@ -23,12 +23,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .balls import INFINITE, BallTable, _search_budget, growth_rate_upper, phi, table_for_volume
-from .errors import BadParams, EmptyGeneratingSet, InsufficientData, NotApplicable
+from .balls import INFINITE, BallTable, growth_rate_upper, phi, table_for_volume
+from .errors import (BadParams, EmptyGeneratingSet, InsufficientData, NotApplicable,
+                     RadiusOutOfRange)
 from .folner import LowerBound, _Value, adjacency_index, min_ratio_table
-from .groups import Group
-from .isoperimetry import (FiniteSubset, _as_fraction, _check_bits, _check_positive_int,
-                           _check_same_group, _exact_alpha)
+from .groups import Group, _require_int
+from .isoperimetry import FiniteSubset, _as_fraction, _check_bits, _check_same_group, _exact_alpha
 
 __all__ = [
     "CscBound",
@@ -48,8 +48,8 @@ __all__ = [
 
 class _Bound(_Value):
     """Parameters checked when the bound is built: every field becomes an
-    exact rational (ints convert, anything else raises BadParams), and alpha
-    must be >= 0."""
+    exact rational (an int converts; a bool, like anything else, raises
+    BadParams), and alpha must be >= 0."""
 
     __slots__ = ()
 
@@ -103,10 +103,7 @@ def folner_to_csc(bound: FolnerBound, generating_set_size: int) -> CscBound:
         raise BadParams(f"conversion requires c > 0, got {bound.c}")
     if bound.rho < 0:
         raise BadParams(f"rho must be >= 0, got {bound.rho}")
-    if not isinstance(generating_set_size, int) or generating_set_size < 1:
-        raise EmptyGeneratingSet(
-            f"conversion needs a non-empty generating set, got size {generating_set_size!r}"
-        )
+    _require_int(generating_set_size, "generating_set_size", 1, EmptyGeneratingSet)
     exponent = math.ceil(bound.rho + bound.c)
     what = "the volume inflation |S|^ceil(rho+c)"
     # the factor is at least 2^(exponent (bits of |S| - 1)); below the cap
@@ -126,7 +123,7 @@ class BallSubsetsScope(_Value):
     __slots__ = ("radius",)
 
     def __init__(self, radius: int = 2):
-        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "radius", _require_int(radius, "radius", 0, RadiusOutOfRange))
 
     def describe(self):
         return f"all non-empty subsets of B({self.radius})"
@@ -138,8 +135,7 @@ class ConnectedScope(_Value):
     __slots__ = ("max_size",)
 
     def __init__(self, max_size: int):
-        _check_positive_int(max_size, "max_size")
-        object.__setattr__(self, "max_size", max_size)
+        object.__setattr__(self, "max_size", _require_int(max_size, "max_size", 1, BadParams))
 
     def describe(self):
         return f"connected subsets containing e with size <= {self.max_size}"
@@ -205,9 +201,8 @@ def certify_at_scale(group: Group, bound: CscBound, scope,
 
 
 def _certify_ball_subsets(group, bound, scope, max_elements):
-    budget = _search_budget(group, scope.radius, max_elements)
     # B(radius) leads the elements of B(radius + 1), and only its vertices have rows
-    index = adjacency_index(group, scope.radius + 1, budget)
+    index = adjacency_index(group, scope.radius + 1, max_elements)
     rows = [row for row in index.adj if row is not None]
     n = len(rows)
     members = index.elements[:n]

@@ -92,9 +92,10 @@ import threading
 from fractions import Fraction
 
 from .balls import INFINITE, _budget_exceeded, _checked_sphere_counts, _search_budget
-from .errors import BadParams, NoFamilyForKind
-from .groups import DihedralInfinite, Group, LamplighterZ2, ZPowerD, _check_generators
-from .isoperimetry import FiniteSubset, _check_bits, _check_positive_int
+from .errors import BadParams, NoFamilyForKind, RadiusOutOfRange
+from .groups import (DihedralInfinite, Group, LamplighterZ2, ZPowerD, _check_generators,
+                     _require_int)
+from .isoperimetry import FiniteSubset, _check_bits
 
 __all__ = [
     "LowerBound",
@@ -178,16 +179,18 @@ def adjacency_index(group: Group, max_size: int,
 
     The search visits frontiers and generators in the order of
     :func:`enumerate_ball` and records a vertex's row when it expands the
-    vertex, so every product x*g is formed once.  It raises the same
-    :class:`RadiusOutOfRange` and :class:`MemoryBudgetExceeded` as
-    :func:`enumerate_ball` under the element budget ``max_elements``.
+    vertex, so every product x*g is formed once.  ``max_size`` is a radius
+    (:class:`RadiusOutOfRange` unless a non-negative int), and the search
+    raises the same :class:`MemoryBudgetExceeded` as :func:`enumerate_ball`
+    under the element budget ``max_elements``.
     Before it searches, it raises :class:`InvalidParams` when
     :func:`validate_generators` finds a problem: a repeated generator or the
     identity would make a row repeat an index or contain its own vertex, and
     a generator whose inverse is missing would make the rows asymmetric.
     """
     _check_generators(group)
-    budget = _search_budget(group, max_size, max_elements)
+    _require_int(max_size, "max_size", 0, RadiusOutOfRange)
+    budget = _search_budget(group, max_elements)
     e = group.identity
     elements = [e]
     index = {e: 0}
@@ -601,8 +604,7 @@ class MinRatioTable:
 
     def _scanned(self, size):
         """``size``; :class:`BadParams` unless the table has sets of that size."""
-        _check_positive_int(size, "size")
-        if size > self.max_size or not self.count[size]:
+        if _require_int(size, "size", 1, BadParams) > self.max_size or not self.count[size]:
             raise BadParams(f"the table up to size {self.max_size} has no sets of size {size}")
         return size
 
@@ -622,8 +624,8 @@ def min_ratio_table(group: Group, max_size: int,
     the connected certificate of a group all read one scan.  A memoized
     table larger than the budget fails as a fresh scan would.
     """
-    _check_positive_int(max_size, "max_size")
-    budget = _search_budget(group, max_size, max_elements)
+    _require_int(max_size, "max_size", 1, BadParams)
+    budget = _search_budget(group, max_elements)
     cache_key = (group.descriptor, group.generators, max_size)
     cached = _scan_cache.get(cache_key)
     if cached is not None and len(cached.index.elements) <= budget:
@@ -645,7 +647,7 @@ def connected_subsets(group: Group, max_size: int):
     against.  Each size is one pass of the recursion cut off at that depth,
     so sets stream out as they are found and none is held.
     """
-    _check_positive_int(max_size, "max_size")
+    _require_int(max_size, "max_size", 1, BadParams)
     index = adjacency_index(group, max_size)
     adj = index.adj
     occupied = {0}
@@ -733,7 +735,8 @@ def folner_exact(group: Group, n: int, cap: int,
         family = folner_family_upper(group, n)  # checks n
     except NoFamilyForKind:
         family = None
-    _check_positive_int(cap, "cap")
+    _require_int(cap, "cap", 1, BadParams)
+    _search_budget(group, max_elements)  # checked even where nothing is searched
     if n == 1:
         # every non-empty set has ratio <= 1 and the singleton attains it
         return FolnerRecord(1, 1, FiniteSubset(group, [group.identity]), cap, family)
@@ -760,7 +763,7 @@ def folner_family_upper(group: Group, n: int) -> int:
     digits, whatever the limit is set to; the lamplighter's is refused from
     its bit count, before it is built, and a box's before its side is sought.
     """
-    _check_positive_int(n, "n")
+    _require_int(n, "n", 1, BadParams)
     if not isinstance(group, (ZPowerD, DihedralInfinite, LamplighterZ2)):
         raise NoFamilyForKind(f"no candidate family for {group.descriptor}")
     if n == 1:

@@ -124,7 +124,17 @@ class Group(ABC):
 
 
 def _check_int(value) -> bool:
+    """The library's one integer rule: an ``int`` that is not a ``bool``."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_int(value, name: str, least: int, error):
+    """``value`` if it passes :func:`_check_int` and is at least ``least``
+    (0 or 1); else raise ``error``, worded as the command line words it."""
+    if not _check_int(value) or value < least:
+        kind = "positive" if least else "non-negative"
+        raise error(f"{name} must be a {kind} integer, got {value!r}")
+    return value
 
 
 class ZPowerD(Group):

@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .balls import INFINITE, BallTable, phi
 from .errors import BadParams, EmptySet, MalformedElement
-from .groups import Group
+from .groups import Group, _check_int, _require_int
 
 __all__ = [
     "FORMS",
@@ -168,7 +168,7 @@ class InequalityReport:
 def _as_fraction(value, name: str) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if _check_int(value):
         return Fraction(value)
     raise BadParams(f"{name} must be an exact rational, got {value!r}")
 
@@ -179,11 +179,6 @@ def _exact_alpha(alpha) -> Fraction:
     if alpha < 0:
         raise BadParams(f"alpha must be >= 0, got {alpha}")
     return alpha
-
-
-def _check_positive_int(value, name: str) -> None:
-    if not isinstance(value, int) or value < 1:
-        raise BadParams(f"{name} must be a positive integer, got {value!r}")
 
 
 # The longest bit length whose values all print under the interpreter's
@@ -221,7 +216,7 @@ def inequality_volume(form: str, size: int, alpha=None, eps=None):
     for name, value in (("alpha", alpha), ("eps", eps)):
         if value is not None and name != takes:
             raise BadParams(f"form {form} takes no {name}")
-    if size < 1:
+    if _require_int(size, "size", 0, BadParams) < 1:
         raise EmptySet("inequality forms require a non-empty subset")
     if takes is None:
         return 2 * size

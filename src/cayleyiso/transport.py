@@ -50,7 +50,8 @@ from .errors import (
     HorizonExceeded,
     PreconditionUnmet,
 )
-from .isoperimetry import FiniteSubset, _check_positive_int, _check_same_group, _exact_alpha
+from .groups import _require_int
+from .isoperimetry import FiniteSubset, _check_same_group, _exact_alpha
 
 __all__ = [
     "GeodesicWord",
@@ -155,12 +156,11 @@ def build_ledger(omega: FiniteSubset, table: BallTable, r: int,
     """
     if not omega.elements:
         raise EmptySet("transport ledger needs a non-empty subset")
-    _check_positive_int(r, "radius")
-    if r > table.max_radius:
+    if _require_int(r, "radius", 1, BadParams) > table.max_radius:
         raise HorizonExceeded(f"ledger radius {r} beyond table horizon {table.max_radius}")
     group = omega.group
     _check_same_group(group, table.group, "ball table")
-    budget = _search_budget(group, r, max_elements)
+    budget = _search_budget(group, max_elements)
     pairs = len(omega) * table.b[r]
     if pairs > budget:
         raise BadParams(

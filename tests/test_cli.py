@@ -360,6 +360,29 @@ def test_folner_family_only(capsys):
     assert out.strip().splitlines()[1] == "2,49"
 
 
+@pytest.mark.parametrize("flag", [["--cap", "3"], ["--memory-budget", "1"]])
+def test_folner_family_only_refuses_search_options(capsys, flag):
+    # the family bound searches nothing, so neither option could act
+    argv = ["folner", "--group", "z:2", "--n", "2", "--family-only"] + flag
+    line = f"cayleyiso folner: error: --family-only takes no {flag[0]}\n"
+    assert run(capsys, argv) == (1, "", line)
+
+
+@pytest.mark.skipif(DIGIT_LIMITS == (None,), reason="no integer digit limit")
+def test_unprintable_result_is_an_error_line(capsys):
+    # the lamplighter bound at n = 2000 has 1,208 digits: within the library's
+    # bit cap, but past a digit limit of 640 where the CLI prints it
+    argv = ["folner", "--group", "lamplighter", "--n", "2000", "--family-only"]
+    with digit_limit(640):
+        code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("cayleyiso folner: error: Exceeds the limit (640 digits)")
+    assert err.count("\n") == 1
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()[1]) == len("2000,") + 1208
+
+
 _FAMILY_REFUSED = "the family upper bound has more than 14284 bits (4300 or more decimal digits)"
 
 

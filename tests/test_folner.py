@@ -378,6 +378,23 @@ def test_size_floors_pinned_values():
     assert _size_floors(lamplighter, 10)[1:] == [1, 2, 3, 4, 5, 6, 7, 8, 8, 8]
 
 
+def _tree_least_boundary(rank, m):
+    """Least inner boundary of a connected m-set in the 2r-regular tree
+    (free:r).  For m >= 2 the set spans a subtree with m - 1 edges, so its
+    degree sum 2(m - 1) is at least 2r I + (m - I) for I interior members:
+    I <= (m - 2)/(2r - 1), and a caterpillar attains it."""
+    return 1 if m == 1 else m - (m - 2) // (2 * rank - 1)
+
+
+@pytest.mark.parametrize("rank, size", [(2, 9), (3, 6)])
+def test_tree_minima_and_floors_match_the_closed_form(rank, size):
+    group = make_group(f"free:{rank}")
+    oracle = [_tree_least_boundary(rank, m) for m in range(1, size + 1)]
+    assert min_ratio_table(group, size).min_boundary[1:] == oracle
+    floors = _size_floors(adjacency_index(group, size).adj, size)
+    assert all(floor <= least for floor, least in zip(floors[1:], oracle, strict=True))
+
+
 @pytest.mark.parametrize("desc", ["z:1", "dinf"])
 def test_size_floor_search_is_bounded(desc):
     # on a path the components of interior members grow exponentially with
@@ -809,6 +826,39 @@ def test_folner_exact_refuses_an_unprintable_family_bound():
     # before the scan: a record whose bound could not be printed or encoded
     with _time_limit(10), pytest.raises(BadParams, match="bound has more than 14284 bits"):
         folner_exact(make_group("lamplighter"), 10000, 9)
+
+
+def _family_member(group, side):
+    """The closed-family member of the given side that
+    :func:`folner_family_upper` sizes: a Z^2 box, a dinf path segment, or a
+    lamplighter rectangle (walker and lamps in 0..side-1)."""
+    cells = range(side)
+    if group.descriptor == "lamplighter":
+        lampsets = [frozenset(lamps) for k in range(side + 1)
+                    for lamps in itertools.combinations(cells, k)]
+        return FiniteSubset(group, [(p, lamps) for p in cells for lamps in lampsets])
+    if group.descriptor == "dinf":
+        # both generators are involutions, so alternating them never turns back
+        path = [group.identity]
+        while len(path) < side:
+            path.append(group.mul(path[-1], group.generators[len(path) % 2]))
+        return FiniteSubset(group, path)
+    return FiniteSubset(group, list(itertools.product(cells, repeat=group.d)))
+
+
+@pytest.mark.parametrize("desc, n, side, boundary", [
+    ("lamplighter", 2, 4, 32), ("lamplighter", 3, 6, 128),
+    ("z:2", 2, 7, 24), ("z:2", 3, 11, 40), ("z:2", 4, 15, 56),
+    *(("dinf", n, 2 * n, 2) for n in range(2, 7)),
+])
+def test_family_members_have_the_bound_size_and_ratio(desc, n, side, boundary):
+    # the member behind the bound, built: its size is the bound, and its
+    # ratio is at most 1/n
+    group = make_group(desc)
+    member = _family_member(group, side)
+    assert len(member) == folner_family_upper(group, n)
+    assert len(member.boundary_set()) == boundary
+    assert boundary_ratio(member) <= Fraction(1, n)
 
 
 def test_family_upper_dominates_exact_values():
