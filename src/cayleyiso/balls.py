@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import accumulate, count, islice
 
 from .errors import BadParams, HorizonExceeded, MemoryBudgetExceeded, RadiusOutOfRange
-from .groups import Group, _check_generators, _check_int, _require_int
+from .groups import Group, _check_generators, _check_int, _check_rational, _require_int
 
 __all__ = [
     "INFINITE",
@@ -96,7 +96,11 @@ class BallTable:
         return self.elements[: self.b[r]]
 
     def volume_at(self, x) -> int:
-        """|B(x)| for a rational radius: 0 below zero, floor otherwise."""
+        """|B(x)| for an exact rational radius (BadParams for anything else):
+        0 below zero, floor otherwise."""
+        if not _check_rational(x):
+            raise BadParams(f"volume_at takes an exact radius (int or Fraction), "
+                            f"not {type(x).__name__}")
         if x < 0:
             return 0
         r = math.floor(x)
@@ -106,9 +110,11 @@ class BallTable:
             return self.b[self.max_radius]
         raise HorizonExceeded(f"radius {x} beyond table horizon {self.max_radius}")
 
-    def _check_radius(self, r):
-        if _require_int(r, "radius", 0, RadiusOutOfRange) > self.max_radius:
-            raise RadiusOutOfRange(f"radius {r!r} not in [0, {self.max_radius}]")
+    def _check_radius(self, r, name="radius", least=0):
+        """RadiusOutOfRange unless ``r`` is an integer of at least ``least``
+        (0 or 1), HorizonExceeded beyond the table."""
+        if _require_int(r, name, least, RadiusOutOfRange) > self.max_radius:
+            raise HorizonExceeded(f"{name} {r!r} not in [{least}, {self.max_radius}]")
 
     def csv_rows(self):
         """Rows ``r, b_r, s_r, length_sum_r, avg_len_num, avg_len_den``."""
@@ -266,7 +272,7 @@ def _degree_bound_violation(which: str, s: list, b: list, k: int):
 
 def _check_volume(v) -> None:
     """The volume :func:`phi` and :func:`table_for_volume` take: exact, >= 0."""
-    if not (isinstance(v, Fraction) or _check_int(v)):
+    if not _check_rational(v):
         raise BadParams(f"phi takes exact volumes (int or Fraction), not {type(v).__name__}")
     if v < 0:
         raise BadParams(f"volume must be >= 0, got {v}")
@@ -329,8 +335,7 @@ _EVIDENCE_MIN_HORIZON = 6
 
 def growth_rate_upper(table: BallTable, horizon: int) -> GrowthEstimate:
     """Per-n values ln(b_n)/n and their running minimum at the horizon."""
-    if _require_int(horizon, "horizon", 1, RadiusOutOfRange) > table.max_radius:
-        raise RadiusOutOfRange(f"horizon {horizon!r} not in [1, {table.max_radius}]")
+    table._check_radius(horizon, "horizon", 1)
     b = table.b
     per_n = tuple(math.log(b[n]) / n for n in range(1, horizon + 1))
     # two-step log-increments, late = ln(b_h / b_(h-2)) and mid =

@@ -24,9 +24,8 @@ import math
 from fractions import Fraction
 
 from .balls import INFINITE, BallTable, growth_rate_upper, phi, table_for_volume
-from .errors import (BadParams, EmptyGeneratingSet, InsufficientData, NotApplicable,
-                     RadiusOutOfRange)
-from .folner import LowerBound, _Value, adjacency_index, min_ratio_table
+from .errors import BadParams, InsufficientData, NotApplicable, RadiusOutOfRange
+from .folner import _Value, adjacency_index, min_ratio_table
 from .groups import Group, _require_int
 from .isoperimetry import FiniteSubset, _as_fraction, _check_bits, _check_same_group, _exact_alpha
 
@@ -103,7 +102,7 @@ def folner_to_csc(bound: FolnerBound, generating_set_size: int) -> CscBound:
         raise BadParams(f"conversion requires c > 0, got {bound.c}")
     if bound.rho < 0:
         raise BadParams(f"rho must be >= 0, got {bound.rho}")
-    _require_int(generating_set_size, "generating_set_size", 1, EmptyGeneratingSet)
+    _require_int(generating_set_size, "generating_set_size", 1, BadParams)
     exponent = math.ceil(bound.rho + bound.c)
     what = "the volume inflation |S|^ceil(rho+c)"
     # the factor is at least 2^(exponent (bits of |S| - 1)); below the cap
@@ -312,18 +311,14 @@ def check_folner_form(bound: FolnerBound, table: BallTable, records) -> FolnerFo
     for record in sorted(records, key=lambda rec: rec.n):
         radius = bound.c * record.n - bound.rho
         rhs = table.volume_at(radius) / (1 + bound.alpha)
-        value = record.value
-        if value is INFINITE:
+        least = record.least
+        if least is None or least >= rhs:
             status = "holds"
-        elif isinstance(value, LowerBound):
-            if value.bound >= rhs:
-                status = "holds"
-            else:
-                status = "indeterminate"
-                indeterminate += 1
+        elif record.kind == "lower":
+            status = "indeterminate"
+            indeterminate += 1
         else:
-            status = "holds" if value >= rhs else "fails"
-        if status == "fails":
+            status = "fails"
             holds = False
         rows.append((record.n, record.value_text(), rhs, status))
     return FolnerFormCheck(bound, rows, holds, indeterminate)
@@ -397,15 +392,11 @@ def quotient_estimate(group: Group, horizon: int, records, table: BallTable) -> 
     lower_stats = []
     upper_stats = []
     for n, rec in sorted(window.items()):
-        value = rec.value
-        if value is INFINITE:
-            lower_stats.append(math.inf)
-        elif isinstance(value, LowerBound):
-            lower_stats.append(math.log(value.bound) / n)
-        else:
-            lower_stats.append(math.log(value) / n)
-            upper_stats.append(math.log(value) / n)
-        if rec.family_upper is not None and not isinstance(value, int):
+        least = rec.least
+        lower_stats.append(math.inf if least is None else math.log(least) / n)
+        if rec.kind == "exact":
+            upper_stats.append(math.log(least) / n)
+        elif rec.family_upper is not None:
             upper_stats.append(math.log(rec.family_upper) / n)
     numerator_lower = min(lower_stats)
     numerator_upper = min(upper_stats) if upper_stats else None

@@ -35,7 +35,8 @@ class MemoryBudgetExceeded(CayleyIsoError):
 
 
 class HorizonExceeded(CayleyIsoError):
-    """A query needs radii beyond the computed table.
+    """A query needs radii beyond the computed table: a radius, horizon or
+    element outside it.
 
     Distinct from the infinite sentinel: this signals a too-small table on a
     group that may well be infinite, never a mathematical fact.
@@ -43,7 +44,8 @@ class HorizonExceeded(CayleyIsoError):
 
 
 class RadiusOutOfRange(CayleyIsoError):
-    """Requested radius is negative or beyond the table horizon."""
+    """A radius or horizon that is not an integer of the right sign; one
+    beyond the table is :class:`HorizonExceeded`."""
 
 
 class EmptySet(CayleyIsoError):
@@ -54,21 +56,12 @@ class BadParams(CayleyIsoError):
     """Numeric parameters violate an operation's hypotheses."""
 
 
-class EmptyGeneratingSet(CayleyIsoError):
-    """Conversion requires a non-empty generating set."""
-
-
 class NoFamilyForKind(CayleyIsoError):
     """No closed candidate family is defined for this group kind."""
 
 
 class PreconditionUnmet(CayleyIsoError):
     """A lemma's hypothesis does not hold on the given instance."""
-
-
-class ExitNotFound(CayleyIsoError):
-    """Internal consistency failure: a geodesic out of a set never met its
-    inner boundary.  Cannot happen for correct inputs; signals a bug."""
 
 
 class NotApplicable(CayleyIsoError):

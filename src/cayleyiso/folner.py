@@ -234,13 +234,10 @@ def _size_floors(adj, max_size):
     """Least inner boundary of any set of each size 0..``max_size``, by the
     size floor of the module docstring: s minus the interior packing bound
     where its search stays within budget, else s up to deg and 0 above."""
-    deg = len(adj[0])
-    floors = list(range(max_size + 1))
-    if max_size <= deg:
-        return floors
     packing = _interior_packing(adj, max_size)
     if packing is None:
-        return floors[:deg + 1] + [0] * (max_size - deg)
+        deg = len(adj[0])
+        return [s if s <= deg else 0 for s in range(max_size + 1)]
     return [s - m for s, m in enumerate(packing)]
 
 
@@ -675,7 +672,8 @@ class FolnerRecord:
 
     ``value`` is an exact integer, a :class:`LowerBound`, or the infinite
     sentinel (configured non-amenable groups only).  ``witness`` achieves the
-    minimum when the value is exact.
+    minimum when the value is exact.  The record is the one reader of the
+    three kinds: callers read :attr:`kind` and :attr:`least`.
     """
 
     __slots__ = ("n", "value", "witness", "search_cap", "family_upper")
@@ -687,20 +685,28 @@ class FolnerRecord:
         self.search_cap = search_cap
         self.family_upper = family_upper
 
+    def _decoded(self):
+        value = self.value
+        if value is INFINITE:
+            return "infinite", None
+        if isinstance(value, LowerBound):
+            return "lower", value.bound
+        return "exact", value
+
     @property
     def kind(self) -> str:
-        if self.value is INFINITE:
-            return "infinite"
-        if isinstance(self.value, LowerBound):
-            return "lower"
-        return "exact"
+        """``"exact"``, ``"lower"`` or ``"infinite"``."""
+        return self._decoded()[0]
+
+    @property
+    def least(self):
+        """The integer the record guarantees folner(n) is at least: the exact
+        value itself, the cap + 1 of a lower bound, or None when infinite."""
+        return self._decoded()[1]
 
     def value_text(self) -> str:
-        if self.value is INFINITE:
-            return "infinite"
-        if isinstance(self.value, LowerBound):
-            return str(self.value.bound)
-        return str(self.value)
+        least = self.least
+        return "infinite" if least is None else str(least)
 
     def csv_row(self):
         return (

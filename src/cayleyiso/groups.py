@@ -18,6 +18,7 @@ Descriptor strings accepted by :func:`make_group`:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from fractions import Fraction
 
 from .errors import InvalidParams, MalformedElement, UnknownKind
 
@@ -126,6 +127,12 @@ class Group(ABC):
 def _check_int(value) -> bool:
     """The library's one integer rule: an ``int`` that is not a ``bool``."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_rational(value) -> bool:
+    """The library's one exact-rational rule: a ``Fraction``, or an int
+    under :func:`_check_int`."""
+    return isinstance(value, Fraction) or _check_int(value)
 
 
 def _require_int(value, name: str, least: int, error):

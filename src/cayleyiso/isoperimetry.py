@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .balls import INFINITE, BallTable, phi
 from .errors import BadParams, EmptySet, MalformedElement
-from .groups import Group, _check_int, _require_int
+from .groups import Group, _check_rational, _require_int
 
 __all__ = [
     "FORMS",
@@ -62,7 +62,10 @@ class FiniteSubset:
 
     def __init__(self, group: Group, elements):
         self.group = group
-        elems = frozenset(elements)
+        try:
+            elems = frozenset(elements)
+        except TypeError as exc:  # an unhashable element: every group's are hashable
+            raise MalformedElement(f"not a subset of {group.descriptor}: {exc}") from None
         for a in elems:
             group.check_element(a)
         self.elements = elems
@@ -166,11 +169,10 @@ class InequalityReport:
 
 
 def _as_fraction(value, name: str) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if _check_int(value):
-        return Fraction(value)
-    raise BadParams(f"{name} must be an exact rational, got {value!r}")
+    if not _check_rational(value):
+        raise BadParams(f"{name} must be an exact rational, got {value!r}")
+    # Fraction(value) would copy a Fraction, at about ten times the cost
+    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 def _exact_alpha(alpha) -> Fraction:

@@ -43,13 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .balls import INFINITE, BallTable, _degree_bound_violation, _search_budget, phi
-from .errors import (
-    BadParams,
-    EmptySet,
-    ExitNotFound,
-    HorizonExceeded,
-    PreconditionUnmet,
-)
+from .errors import BadParams, EmptySet, HorizonExceeded, PreconditionUnmet
 from .groups import _require_int
 from .isoperimetry import FiniteSubset, _check_same_group, _exact_alpha
 
@@ -202,7 +196,7 @@ def build_ledger(omega: FiniteSubset, table: BallTable, r: int,
             if y not in inside:
                 g = ball[j]
                 if b is None:  # impossible: the path leaves W from a boundary point
-                    raise ExitNotFound(
+                    raise RuntimeError(
                         f"path from {group.format_element(x)} by "
                         f"{group.format_element(g)} never met the boundary"
                     )

@@ -254,9 +254,13 @@ def test_average_length_at_most_radius(desc):
 
 
 def test_average_length_out_of_range():
+    # beyond the table is HorizonExceeded at every site that reads a radius
     t = enumerate_ball(make_group("z:1"), 3)
-    with pytest.raises(RadiusOutOfRange):
-        average_length(t, 4)
+    for call, text in ((t.members, r"^radius 4 not in \[0, 3\]$"),
+                       (lambda r: average_length(t, r), r"^radius 4 not in \[0, 3\]$"),
+                       (lambda r: growth_rate_upper(t, r), r"^horizon 4 not in \[1, 3\]$")):
+        with pytest.raises(HorizonExceeded, match=text):
+            call(4)
 
 
 # -------------------------------------------------------- growth estimates

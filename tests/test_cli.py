@@ -458,6 +458,14 @@ def test_certify_falsified_exit_2(capsys):
     assert "witness" in err
 
 
+def test_certify_connected_falsified_exit_2(capsys):
+    code, out, err = run(capsys, ["certify", "--group", "heis", "--c", "100",
+                                  "--alpha", "1", "--scope", "connected:4"])
+    assert code == 2
+    assert out.splitlines()[1] == "False,connected subsets containing e with size <= 4,1"
+    assert err == "falsified with witness ['0,0,0']\n"
+
+
 def test_certify_holds(capsys):
     code, out, _ = run(capsys, ["certify", "--group", "z:1", "--c", "3/4",
                                 "--alpha", "3", "--scope", "connected:6",

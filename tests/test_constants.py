@@ -19,13 +19,12 @@ from cayleyiso.constants import (
 )
 from cayleyiso.errors import (
     BadParams,
-    EmptyGeneratingSet,
     InsufficientData,
     MalformedElement,
     NotApplicable,
     RadiusOutOfRange,
 )
-from cayleyiso.folner import LowerBound, folner_exact
+from cayleyiso.folner import FolnerRecord, LowerBound, folner_exact
 from cayleyiso.groups import make_group
 from cayleyiso.isoperimetry import _BIT_CAP, FiniteSubset
 
@@ -102,7 +101,7 @@ def test_value_records_compare_and_hash_by_value():
 
 
 def test_folner_to_csc_requires_generators():
-    with pytest.raises(EmptyGeneratingSet):
+    with pytest.raises(BadParams, match="^generating_set_size must be a positive integer, got 0$"):
         folner_to_csc(FolnerBound(Fraction(1), Fraction(0), Fraction(0)), 0)
     with pytest.raises(BadParams):
         folner_to_csc(FolnerBound(Fraction(0), Fraction(0), Fraction(0)), 2)
@@ -127,6 +126,15 @@ def test_certify_holds_exhaustive_and_connected():
     cert = certify_at_scale(make_group("dinf"), bound, ConnectedScope(9))
     assert cert.holds
     assert cert.checked_sets == sum(range(1, 10))
+
+
+def test_certify_connected_fails_with_witness():
+    # the identity singleton has ratio 1 < 100 / Phi(2) = 100
+    cert = certify_at_scale(make_group("heis"), CscBound(100, 1), ConnectedScope(4))
+    assert not cert.holds
+    assert cert.witness.keys() == ["0,0,0"]
+    assert cert.checked_sets == 1
+    assert cert.derived_bounds == {"failing_size": 1, "lhs": "1", "rhs": "100"}
 
 
 def _brute_force_ball_subsets(group, bound, radius):
@@ -291,6 +299,19 @@ def test_check_folner_form_infinite_and_lower_records():
     assert report.holds
 
 
+def test_check_folner_form_reads_each_record_kind():
+    # against |B(n)| = 2n + 1 on the line: a lower bound below it decides
+    # nothing, one above it holds, and an infinite value always holds
+    table = enumerate_ball(make_group("z:1"), 10)
+    records = [FolnerRecord(2, LowerBound(3), None, 2), FolnerRecord(3, LowerBound(100), None, 99),
+               FolnerRecord(4, INFINITE, None, 4)]
+    report = check_folner_form(FolnerBound(1, 0, 0), table, records)
+    assert report.rows == [(2, "3", 5, "indeterminate"), (3, "100", 7, "holds"),
+                           (4, "infinite", 9, "holds")]
+    assert report.holds
+    assert report.indeterminate == 1
+
+
 # -------------------------------------------------------- quotient estimate
 
 def test_quotient_not_applicable_on_polynomial_growth():
@@ -328,6 +349,13 @@ def test_quotient_lamplighter_window_report():
     assert est.certified_interval is None
     assert len(est.caveats) == 3
     assert est.c_lower == pytest.approx(est.numerator_lower / est.denominator_upper)
+    # every record in the window is a lower bound of 7, so the upper side
+    # comes from the family bounds, the least at n = 8 (2^20 elements)
+    assert est.numerator_lower == math.log(7) / 8
+    assert est.numerator_upper == math.log(2 ** 20) / 8
+    # an exact value replaces its family bound on the upper side
+    exact = [FolnerRecord(4, 100, None, 6, 2048)] + records[4:]
+    assert quotient_estimate(ll, 8, exact, table).numerator_upper == math.log(100) / 4
 
 
 def test_quotient_rejects_a_table_of_another_group():

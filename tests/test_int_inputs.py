@@ -10,7 +10,7 @@ from cayleyiso.balls import (average_length, enumerate_ball, growth_rate_upper, 
                              table_for_volume)
 from cayleyiso.constants import (BallSubsetsScope, ConnectedScope, CscBound, FolnerBound,
                                  certify_at_scale, folner_to_csc, quotient_estimate)
-from cayleyiso.errors import BadParams, EmptyGeneratingSet, RadiusOutOfRange
+from cayleyiso.errors import BadParams, RadiusOutOfRange
 from cayleyiso.folner import (adjacency_index, connected_subsets, folner_exact,
                               folner_family_upper, min_ratio_table)
 from cayleyiso.groups import make_group
@@ -78,13 +78,14 @@ CASES = {
     "quotient_estimate-horizon": (lambda v: quotient_estimate(Z1, v, [], TABLE),
                                   RadiusOutOfRange, "horizon"),
     "folner_to_csc-generating_set_size": (lambda v: folner_to_csc(FolnerBound(1, 0, 0), v),
-                                          EmptyGeneratingSet, "generating_set_size"),
+                                          BadParams, "generating_set_size"),
     "CscBound-c": (lambda v: CscBound(v, 0), BadParams, None),
     "CscBound-alpha": (lambda v: CscBound(1, v), BadParams, None),
     "FolnerBound-c": (lambda v: FolnerBound(v, 0, 0), BadParams, None),
     "FolnerBound-alpha": (lambda v: FolnerBound(1, v, 0), BadParams, None),
     "FolnerBound-rho": (lambda v: FolnerBound(1, 0, v), BadParams, None),
     "phi-volume": (lambda v: phi(TABLE, v), BadParams, None),
+    "BallTable.volume_at": (TABLE.volume_at, BadParams, None),
     "inequality_volume-size": (lambda v: inequality_volume("csc-original", v), BadParams,
                                "size"),
     "inequality_rhs-size": (lambda v: inequality_rhs(TABLE, "csc-original", v), BadParams,

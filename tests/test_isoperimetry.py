@@ -91,6 +91,8 @@ def test_subset_and_translate_reject_malformed(groups):
         bad = MALFORMED_PAYLOADS[desc]
         with pytest.raises(MalformedElement):
             FiniteSubset(g, [g.identity, bad])
+        with pytest.raises(MalformedElement, match=f"^not a subset of {desc}: unhashable"):
+            FiniteSubset(g, [g.identity, [0]])
         omega = FiniteSubset(g, [g.identity])
         with pytest.raises(MalformedElement):
             omega.translate(bad)
